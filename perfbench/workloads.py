@@ -100,6 +100,10 @@ WORKLOADS = {
             stub_boxes_a=None,
             stub_boxes_b=None,
         ),
+        # Run by name only, not listed in BENCHMARK.json: its three busy
+        # processes on two shared vCPUs spread past the 25% bound from one set
+        # of ten runs to the next, while its layers are also measured on
+        # live-mixed (stub B) and replay-inproc (AND ensemble).
         Workload(
             name="replay-external",
             why="closed-loop replay with both detectors as stub subprocesses in parallel; "
