@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .annotations import FrameAnnotation, LabeledBox
 from .ensemble import EnsembleConfig, and_ensemble, size_aware_ensemble
 from .evaluation import ConfusionCounts, MatchConfig, match_frame, prf
-from .geometry import BinaryMask, BoundingBox, ScoredBox, iou, mask_to_boxes, nms, short_edge_ratio
+from .geometry import BoundingBox, ScoredBox, iou, nms, short_edge_ratio
 from .media import Frame, decode_ppm, encode_ppm, heuristic_blur_gate, laplacian_variance, luma
 from .pipeline import Pipeline, PipelineConfig, PipelineResult
 
@@ -20,11 +20,9 @@ __all__ = [
     "MatchConfig",
     "match_frame",
     "prf",
-    "BinaryMask",
     "BoundingBox",
     "ScoredBox",
     "iou",
-    "mask_to_boxes",
     "nms",
     "short_edge_ratio",
     "Frame",

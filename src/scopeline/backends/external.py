@@ -127,9 +127,9 @@ class ExternalDetectorBackend:
 class ExternalBlurGate:
     """BlurGate adapter over an :class:`ExternalClient`."""
 
-    def __init__(self, client: ExternalClient, name: str = "external"):
+    def __init__(self, client: ExternalClient, simulated_latency_ms: float = 0.0, name: str = "external"):
         self.client = client
-        self.descriptor = BackendDescriptor(f"{name}:blur-gate")
+        self.descriptor = BackendDescriptor(f"{name}:blur-gate", simulated_latency_ms)
         self.invocations = 0
 
     def is_blurry(self, frame: Frame) -> bool:

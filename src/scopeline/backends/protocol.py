@@ -21,7 +21,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Sequence
 
 from ..errors import DataFormatError, DesyncError, ProtocolError
 from ..geometry import BoundingBox, ScoredBox
@@ -75,20 +75,6 @@ def read_message(stream: BinaryIO) -> dict | None:
 def write_message(stream: BinaryIO, body: dict) -> None:
     stream.write(encode_message(body))
     stream.flush()
-
-
-def iter_messages(data: bytes) -> Iterator[dict]:
-    """Parse a byte string of concatenated framed messages."""
-    pos = 0
-    while pos < len(data):
-        if pos + HEADER_SIZE > len(data):
-            raise ProtocolError(f"truncated length prefix at byte {pos}")
-        (length,) = struct.unpack(">I", data[pos : pos + HEADER_SIZE])
-        pos += HEADER_SIZE
-        if pos + length > len(data):
-            raise ProtocolError(f"truncated message body at byte {pos}")
-        yield _parse_body(data[pos : pos + length])
-        pos += length
 
 
 def encode_detect_request(frame: Frame) -> dict:

@@ -69,8 +69,13 @@ def _load_json(path: Path, what: str) -> dict:
         raise DataFormatError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _load_run_config(config_path: Path) -> tuple[PipelineConfig, Path | None]:
-    """Load a pipeline config; a run manifest replays its recorded config and input."""
+def _load_run_config(config_path: Path) -> tuple[PipelineConfig, dict]:
+    """Load a pipeline config; a run manifest also yields what its run was given.
+
+    The second value maps ``input``, ``fps`` and ``annotations`` to the values a
+    manifest recorded (None where it recorded none); it is empty for a plain
+    config.
+    """
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     try:
@@ -78,12 +83,16 @@ def _load_run_config(config_path: Path) -> tuple[PipelineConfig, Path | None]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
     if isinstance(raw, dict) and "config" in raw and "input" in raw:
-        recorded_input = raw["input"].get("path") if isinstance(raw["input"], dict) else None
-        return (
-            PipelineConfig.from_dict(raw["config"]),
-            Path(recorded_input) if recorded_input else None,
-        )
-    return PipelineConfig.from_dict(raw), None
+        recorded_input = raw["input"] if isinstance(raw["input"], dict) else {}
+        recorded = {
+            "input": recorded_input.get("path"),
+            "fps": recorded_input.get("fps"),
+            "annotations": raw.get("annotations"),
+        }
+        if recorded["fps"] is not None and not isinstance(recorded["fps"], (int, float)):
+            raise ConfigError(f"manifest {config_path} records a non-numeric fps {recorded['fps']!r}")
+        return PipelineConfig.from_dict(raw["config"]), recorded
+    return PipelineConfig.from_dict(raw), {}
 
 
 def _apply_run_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
@@ -129,17 +138,20 @@ def _seed_registry(config: PipelineConfig) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config, recorded_input = _load_run_config(Path(args.config))
+    config, recorded = _load_run_config(Path(args.config))
     config = _apply_run_overrides(config, args)
 
-    input_dir = Path(args.input) if args.input else recorded_input
-    if input_dir is None:
+    input_path = args.input or recorded.get("input")
+    if not input_path:
         raise ConfigError("no input directory: pass --input or replay a run manifest")
+    input_dir = Path(input_path)
     if not input_dir.is_dir():
         raise MediaFormatError(f"input frame directory not found: {input_dir}")
-    stream = DirectoryFrameStream(input_dir, fps_override=args.fps)
+    fps = args.fps if args.fps is not None else recorded.get("fps")
+    stream = DirectoryFrameStream(input_dir, fps_override=fps)
 
-    annotations_path = _discover_annotations(input_dir, args.annotations)
+    annotations = args.annotations if args.annotations is not None else recorded.get("annotations")
+    annotations_path = _discover_annotations(input_dir, annotations)
     truth = {}
     if annotations_path is not None:
         truth = annotations_by_frame(load_annotations(annotations_path), stream.video_id)

@@ -1,17 +1,15 @@
-"""Exact integer box geometry: IoU, NMS, short-edge ratio, mask-to-box extraction.
+"""Exact integer box geometry: IoU, NMS, short-edge ratio.
 
 Boxes are half-open pixel grids: ``(x, y, w, h)`` covers the pixel set
 ``[x, x+w) x [y, y+h)``. Areas and intersections are therefore exact
-integers, IoU is an exact rational, and a brute-force pixel-counting
-check is an equality test rather than a tolerance test.
+integers, IoU is their correctly rounded quotient, and a brute-force
+pixel-counting check is an equality test rather than a tolerance test.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 SOURCE_A = "detector-A"
 SOURCE_B = "detector-B"
@@ -72,36 +70,6 @@ class ScoredBox:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
-@dataclass(frozen=True)
-class BinaryMask:
-    """Row-major boolean pixel grid; ``bits[y * width + x]`` is nonzero when set."""
-
-    width: int
-    height: int
-    bits: bytes
-
-    def __post_init__(self) -> None:
-        if self.width < 0 or self.height < 0:
-            raise ValueError("mask extent must be non-negative")
-        if len(self.bits) != self.width * self.height:
-            raise ValueError(
-                f"mask bits length {len(self.bits)} != width x height = {self.width * self.height}"
-            )
-
-    @classmethod
-    def from_pixels(cls, width: int, height: int, pixels: Iterable[tuple[int, int]]) -> BinaryMask:
-        """Build a mask with exactly the given (x, y) pixels set."""
-        grid = bytearray(width * height)
-        for x, y in pixels:
-            if not (0 <= x < width and 0 <= y < height):
-                raise ValueError(f"pixel ({x}, {y}) outside {width}x{height} mask")
-            grid[y * width + x] = 1
-        return cls(width, height, bytes(grid))
-
-    def get(self, x: int, y: int) -> bool:
-        return self.bits[y * self.width + x] != 0
-
-
 def intersection_area(a: BoundingBox, b: BoundingBox) -> int:
     """Exact pixel count of the overlap of two boxes (0 when disjoint)."""
     iw = min(a.right, b.right) - max(a.x, b.x)
@@ -109,12 +77,6 @@ def intersection_area(a: BoundingBox, b: BoundingBox) -> int:
     if iw <= 0 or ih <= 0:
         return 0
     return iw * ih
-
-
-def iou_exact(a: BoundingBox, b: BoundingBox) -> Fraction:
-    """Intersection over union as an exact rational."""
-    inter = intersection_area(a, b)
-    return Fraction(inter, a.area + b.area - inter)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -154,50 +116,3 @@ def nms(boxes: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
         if all(iou(candidate.box, k.box) <= iou_threshold for k in kept):
             kept.append(candidate)
     return kept
-
-
-_NEIGHBORS_4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_NEIGHBORS_8 = _NEIGHBORS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def mask_to_boxes(mask: BinaryMask, min_area: int = 16, connectivity: int = 8) -> list[BoundingBox]:
-    """Tight bounding box per connected component with at least ``min_area`` pixels.
-
-    Components are reported in scan order of their first (topmost, then
-    leftmost) pixel. ``min_area`` counts set pixels, not box area.
-    """
-    if connectivity == 4:
-        neighbors = _NEIGHBORS_4
-    elif connectivity == 8:
-        neighbors = _NEIGHBORS_8
-    else:
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-
-    width, height, bits = mask.width, mask.height, mask.bits
-    visited = bytearray(width * height)
-    boxes: list[BoundingBox] = []
-    for start in range(width * height):
-        if not bits[start] or visited[start]:
-            continue
-        # BFS flood fill from the component's scan-order first pixel.
-        min_x = max_x = start % width
-        min_y = max_y = start // width
-        count = 0
-        visited[start] = 1
-        queue = deque((start,))
-        while queue:
-            idx = queue.popleft()
-            count += 1
-            x, y = idx % width, idx // width
-            min_x, max_x = min(min_x, x), max(max_x, x)
-            min_y, max_y = min(min_y, y), max(max_y, y)
-            for dx, dy in neighbors:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height:
-                    nidx = ny * width + nx
-                    if bits[nidx] and not visited[nidx]:
-                        visited[nidx] = 1
-                        queue.append(nidx)
-        if count >= min_area:
-            boxes.append(BoundingBox(min_x, min_y, max_x - min_x + 1, max_y - min_y + 1))
-    return boxes

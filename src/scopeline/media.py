@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -218,10 +218,6 @@ class DirectoryFrameStream:
             )
         return Frame(frame_index, frame_index * 1000.0 / self.info.fps, width, height, pixels)
 
-    def __iter__(self) -> Iterator[Frame]:
-        for index in range(self.info.frame_count):
-            yield self.read_frame(index)
-
 
 class MemoryFrameStream:
     """In-memory stream over pre-built frames; used by benches and tests."""
@@ -237,6 +233,3 @@ class MemoryFrameStream:
 
     def read_frame(self, frame_index: int) -> Frame:
         return self._frames[frame_index]
-
-    def __iter__(self) -> Iterator[Frame]:
-        return iter(self._frames)

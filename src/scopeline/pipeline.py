@@ -1,10 +1,13 @@
 """Per-frame orchestration: blur gate, detector pair, ensemble, latency accounting.
 
-Stage latencies combine measured wall time (monotonic clock) with each
-backend's simulated latency, so the paper-scale timing arithmetic is
-testable in milliseconds of real time. ``total_wall`` is the accounted
-per-frame cost: in parallel execution the detector block counts as the
-maximum of the two detector stages rather than their sum.
+Each stage of a frame records its real time (monotonic clock, less any stage
+nested in it) and the simulated latency its backend charges, so the
+paper-scale timing arithmetic is testable in milliseconds of real time. A
+stage's accounted time is its real time plus its simulated latency. The
+accounting rule: ``total_wall`` is the frame's real wall time with each
+stage's real time replaced by its accounted time, and with the overlapped
+detector block of parallel execution charged at the larger of its two
+stages' accounted times.
 
 Execution modes: ``sequential`` runs detector A then B; ``parallel``
 overlaps them. The size-aware ensemble decides whether B runs at all from
@@ -16,16 +19,18 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Mapping, Sequence
+from types import UnionType
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .annotations import FrameAnnotation
-from .backends.base import BackendDescriptor, BlurGate, DetectorBackend, HeuristicBlurGate
+from .backends.base import BlurGate, DetectorBackend, HeuristicBlurGate
 from .backends.external import (
     ExternalBlurGate,
+    ExternalClient,
     ExternalDetectorBackend,
     connect_tcp_client,
     spawn_subprocess_client,
@@ -57,7 +62,7 @@ TRANSPORT_TCP = "tcp"
 class ExternalBackendSpec:
     """Where an out-of-process backend lives."""
 
-    transport: str
+    transport: str = TRANSPORT_SUBPROCESS
     command: tuple[str, ...] = ()
     host: str = "127.0.0.1"
     port: int = 0
@@ -105,172 +110,76 @@ class PipelineConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "gate": _gate_to_dict(self.gate),
-            "detector_a": _detector_to_dict(self.detector_a),
-            "detector_b": _detector_to_dict(self.detector_b),
-            "ensemble": {
-                "iou_threshold": self.ensemble.iou_threshold,
-                "mode": self.ensemble.mode,
-                "short_edge_ratio_threshold": self.ensemble.short_edge_ratio_threshold,
-            },
-            "execution": self.execution,
-        }
+        return _config_to_dict(self)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> PipelineConfig:
-        _check_keys(raw, {"gate", "detector_a", "detector_b", "ensemble", "execution"}, "config")
-        try:
-            detector_a = _detector_from_dict(raw["detector_a"], "detector_a")
-            detector_b = _detector_from_dict(raw["detector_b"], "detector_b")
-        except KeyError as exc:
-            raise ConfigError(f"config lacks required key {exc}") from exc
-        gate = _gate_from_dict(raw.get("gate", {}))
-        ensemble = _ensemble_from_dict(raw.get("ensemble", {}))
-        execution = str(raw.get("execution", EXECUTION_SEQUENTIAL))
-        return cls(detector_a, detector_b, gate, ensemble, execution)
+        return _config_from_json(cls, raw, "config")
 
 
-def _check_keys(raw: Mapping, allowed: set[str], where: str) -> None:
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+# Value of a detector's "kind" key in config files, per spec type.
+_DETECTOR_KINDS = {"synthetic": SyntheticDetectorConfig, "external": ExternalBackendSpec}
 
 
-def _external_from_dict(raw: Mapping, where: str) -> ExternalBackendSpec:
-    _check_keys(raw, {"transport", "command", "host", "port"}, where)
-    return ExternalBackendSpec(
-        transport=str(raw.get("transport", TRANSPORT_SUBPROCESS)),
-        command=tuple(str(c) for c in raw.get("command", ())),
-        host=str(raw.get("host", "127.0.0.1")),
-        port=int(raw.get("port", 0)),
-    )
+def _config_to_dict(config) -> dict:
+    """JSON form of a config dataclass: one key per field, nested configs as objects."""
+    hints = get_type_hints(type(config))
+    out = {}
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if hints[field.name] == DetectorSpec:
+            kind = next(k for k, spec_type in _DETECTOR_KINDS.items() if isinstance(value, spec_type))
+            value = {"kind": kind, **_config_to_dict(value)}
+        elif is_dataclass(value):
+            value = _config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[field.name] = value
+    return out
 
 
-def _score_range(raw, name: str) -> tuple[float, float]:
-    try:
-        lo, hi = raw
-        return float(lo), float(hi)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a [lo, hi] pair, got {raw!r}") from exc
+def _config_from_json(value_type, raw, where: str):
+    """Inverse of :func:`_config_to_dict` for a value of ``value_type``.
 
-
-def _detector_from_dict(raw: Mapping, where: str) -> DetectorSpec:
-    if not isinstance(raw, Mapping) or "kind" not in raw:
-        raise ConfigError(f"{where} must be an object with a 'kind' field")
-    kind = raw["kind"]
-    if kind == "synthetic":
-        _check_keys(
-            raw,
-            {
-                "kind",
-                "seed",
-                "p_tp",
-                "fp_rate",
-                "jitter_px",
-                "tp_score_range",
-                "fp_score_range",
-                "simulated_latency_ms",
-            },
-            where,
-        )
-        defaults = SyntheticDetectorConfig(seed=0)
-        try:
-            return SyntheticDetectorConfig(
-                seed=int(raw["seed"]),
-                p_tp=float(raw.get("p_tp", defaults.p_tp)),
-                fp_rate=float(raw.get("fp_rate", defaults.fp_rate)),
-                jitter_px=float(raw.get("jitter_px", defaults.jitter_px)),
-                tp_score_range=_score_range(
-                    raw.get("tp_score_range", defaults.tp_score_range), f"{where}.tp_score_range"
-                ),
-                fp_score_range=_score_range(
-                    raw.get("fp_score_range", defaults.fp_score_range), f"{where}.fp_score_range"
-                ),
-                simulated_latency_ms=float(raw.get("simulated_latency_ms", 0.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{where} lacks required key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if kind == "external":
+    An absent key takes the field default. Every malformed input raises
+    ConfigError naming where it is.
+    """
+    if value_type == DetectorSpec:
+        if not isinstance(raw, Mapping) or "kind" not in raw:
+            raise ConfigError(f"{where} must be an object with a 'kind' field")
         spec = dict(raw)
-        spec.pop("kind")
-        return _external_from_dict(spec, where)
-    raise ConfigError(f"{where}.kind must be 'synthetic' or 'external', got {kind!r}")
-
-
-def _detector_to_dict(spec: DetectorSpec) -> dict:
-    if isinstance(spec, SyntheticDetectorConfig):
-        return {
-            "kind": "synthetic",
-            "seed": spec.seed,
-            "p_tp": spec.p_tp,
-            "fp_rate": spec.fp_rate,
-            "jitter_px": spec.jitter_px,
-            "tp_score_range": list(spec.tp_score_range),
-            "fp_score_range": list(spec.fp_score_range),
-            "simulated_latency_ms": spec.simulated_latency_ms,
-        }
-    out = {"kind": "external", "transport": spec.transport}
-    if spec.transport == TRANSPORT_SUBPROCESS:
-        out["command"] = list(spec.command)
-    else:
-        out["host"] = spec.host
-        out["port"] = spec.port
-    return out
-
-
-def _gate_from_dict(raw: Mapping) -> GateConfig:
-    _check_keys(raw, {"kind", "threshold", "simulated_latency_ms", "external"}, "gate")
-    kind = str(raw.get("kind", GATE_HEURISTIC))
-    external = None
-    if "external" in raw and raw["external"] is not None:
-        external = _external_from_dict(raw["external"], "gate.external")
-    try:
-        return GateConfig(
-            kind=kind,
-            threshold=float(raw.get("threshold", DEFAULT_BLUR_THRESHOLD)),
-            simulated_latency_ms=float(raw.get("simulated_latency_ms", 0.0)),
-            external=external,
+        kind = spec.pop("kind")
+        if kind not in _DETECTOR_KINDS:
+            raise ConfigError(f"{where}.kind must be one of {sorted(_DETECTOR_KINDS)}, got {kind!r}")
+        return _config_from_json(_DETECTOR_KINDS[kind], spec, where)
+    if get_origin(value_type) is UnionType:  # an optional nested config
+        return None if raw is None else _config_from_json(get_args(value_type)[0], raw, where)
+    if is_dataclass(value_type):
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"{where} must be a JSON object")
+        unknown = set(raw) - {field.name for field in fields(value_type)}
+        if unknown:
+            raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(value_type) if f.name not in raw and f.default is MISSING]
+        if missing:
+            raise ConfigError(f"{where} lacks required keys {missing}")
+        hints = get_type_hints(value_type)
+        return value_type(
+            **{name: _config_from_json(hints[name], value, f"{where}.{name}") for name, value in raw.items()}
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gate: {exc}") from exc
-
-
-def _gate_to_dict(gate: GateConfig) -> dict:
-    out: dict = {"kind": gate.kind}
-    if gate.kind == GATE_HEURISTIC:
-        out["threshold"] = gate.threshold
-    if gate.kind == GATE_EXTERNAL:
-        out["external"] = {
-            "transport": gate.external.transport,
-            **(
-                {"command": list(gate.external.command)}
-                if gate.external.transport == TRANSPORT_SUBPROCESS
-                else {"host": gate.external.host, "port": gate.external.port}
-            ),
-        }
-    if gate.kind != GATE_DISABLED:
-        out["simulated_latency_ms"] = gate.simulated_latency_ms
-    return out
-
-
-def _ensemble_from_dict(raw: Mapping) -> EnsembleConfig:
-    _check_keys(raw, {"iou_threshold", "mode", "short_edge_ratio_threshold"}, "ensemble")
-    defaults = EnsembleConfig()
+    if get_origin(value_type) is tuple:
+        item_types = get_args(value_type)
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{where} must be a JSON array, got {raw!r}")
+        if item_types[-1] is Ellipsis:
+            item_types = (item_types[0],) * len(raw)
+        elif len(raw) != len(item_types):
+            raise ConfigError(f"{where} must hold {len(item_types)} values, got {raw!r}")
+        return tuple(_config_from_json(t, item, where) for t, item in zip(item_types, raw))
     try:
-        return EnsembleConfig(
-            iou_threshold=float(raw.get("iou_threshold", defaults.iou_threshold)),
-            mode=str(raw.get("mode", defaults.mode)),
-            short_edge_ratio_threshold=float(
-                raw.get("short_edge_ratio_threshold", defaults.short_edge_ratio_threshold)
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"ensemble: {exc}") from exc
+        return value_type(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -343,14 +252,16 @@ class RunSummary:
     latency: LatencyReport
 
 
+def _connect(spec: ExternalBackendSpec) -> ExternalClient:
+    if spec.transport == TRANSPORT_SUBPROCESS:
+        return spawn_subprocess_client(spec.command)
+    return connect_tcp_client(spec.host, spec.port)
+
+
 def build_detector(spec: DetectorSpec, source: str) -> DetectorBackend:
     if isinstance(spec, SyntheticDetectorConfig):
         return SyntheticDetector(spec, source)
-    if spec.transport == TRANSPORT_SUBPROCESS:
-        client = spawn_subprocess_client(spec.command)
-    else:
-        client = connect_tcp_client(spec.host, spec.port)
-    return ExternalDetectorBackend(client, source)
+    return ExternalDetectorBackend(_connect(spec), source)
 
 
 def build_gate(config: GateConfig) -> BlurGate | None:
@@ -358,14 +269,68 @@ def build_gate(config: GateConfig) -> BlurGate | None:
         return None
     if config.kind == GATE_HEURISTIC:
         return HeuristicBlurGate(config.threshold, config.simulated_latency_ms)
-    spec = config.external
-    if spec.transport == TRANSPORT_SUBPROCESS:
-        client = spawn_subprocess_client(spec.command)
-    else:
-        client = connect_tcp_client(spec.host, spec.port)
-    gate = ExternalBlurGate(client)
-    gate.descriptor = BackendDescriptor(gate.descriptor.name, config.simulated_latency_ms)
-    return gate
+    return ExternalBlurGate(_connect(config.external), config.simulated_latency_ms)
+
+
+def _timed(fn: Callable, *args) -> tuple[object, float]:
+    """``fn(*args)`` and the real milliseconds it took."""
+    start = perf_counter()
+    result = fn(*args)
+    return result, (perf_counter() - start) * 1000.0
+
+
+class StageTimer:
+    """One frame's stage clock: ``(real_ms, simulated_ms)`` per stage.
+
+    A stage's real time excludes the stages nested inside it;
+    :meth:`latencies` applies the accounting rule of the module docstring.
+    """
+
+    def __init__(self) -> None:
+        self.stages: dict[str, tuple[float, float]] = {}
+        self._start = perf_counter()
+        # Real ms of the finished stages nested in each open stage; [0] is the frame.
+        self._nested = [0.0]
+        # Each overlapped block: its wall ms and the names of its stages.
+        self._blocks: list[tuple[float, tuple[str, ...]]] = []
+
+    def run(self, name: str, simulated_ms: float, fn: Callable, *args):
+        """Call ``fn(*args)`` as stage ``name`` and return its result."""
+        self._nested.append(0.0)
+        result, real_ms = _timed(fn, *args)
+        self.stages[name] = (real_ms - self._nested.pop(), simulated_ms)
+        self._nested[-1] += real_ms
+        return result
+
+    def run_overlapped(self, pool: ThreadPoolExecutor, *calls: tuple) -> list:
+        """Run each ``(name, simulated_ms, fn, *args)`` call as a stage, all at once on ``pool``.
+
+        Waits for every call before raising the first failure, so that no
+        call outlives its frame.
+        """
+        start = perf_counter()
+        futures = [pool.submit(_timed, fn, *args) for _name, _simulated_ms, fn, *args in calls]
+        wait(futures)
+        wall_ms = (perf_counter() - start) * 1000.0
+        self._nested[-1] += wall_ms
+        self._blocks.append((wall_ms, tuple(call[0] for call in calls)))
+        results = []
+        for (name, simulated_ms, *_), future in zip(calls, futures):
+            result, real_ms = future.result()
+            self.stages[name] = (real_ms, simulated_ms)
+            results.append(result)
+        return results
+
+    def latencies(self) -> dict[str, float]:
+        """Accounted ms per stage, plus the frame's accounted ``total_wall``."""
+        accounted = {name: real + simulated for name, (real, simulated) in self.stages.items()}
+        overlapped = {name for _, names in self._blocks for name in names}
+        # (real ms, accounted ms) of every stage outside a block and of every block.
+        charges = [(real, accounted[name]) for name, (real, _) in self.stages.items() if name not in overlapped]
+        charges += [(wall, max(accounted[name] for name in names)) for wall, names in self._blocks]
+        frame_ms = (perf_counter() - self._start) * 1000.0
+        accounted[STAGE_TOTAL] = frame_ms + sum(charged - real for real, charged in charges)
+        return accounted
 
 
 class Pipeline:
@@ -400,15 +365,6 @@ class Pipeline:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _timed_detect(
-        self, backend: DetectorBackend, frame: Frame, truth: FrameAnnotation | None
-    ) -> tuple[list[ScoredBox], float, float]:
-        """Returns (boxes, accounted stage ms, real ms)."""
-        start = perf_counter()
-        boxes = backend.detect(frame, truth)
-        real_ms = (perf_counter() - start) * 1000.0
-        return boxes, real_ms + backend.descriptor.simulated_latency_ms, real_ms
-
     def process_frame(self, frame: Frame, truth: FrameAnnotation | None = None) -> PipelineResult:
         """Run one frame through gate, detectors, and ensemble.
 
@@ -417,71 +373,30 @@ class Pipeline:
         """
         if truth is None:
             truth = self.truth.get(frame.frame_index)
-        start = perf_counter()
-        latencies: dict[str, float] = {}
-        simulated_total = 0.0
-
+        timer = StageTimer()
+        blurry = False
         if self.gate is not None:
-            gate_start = perf_counter()
-            blurry = self.gate.is_blurry(frame)
-            gate_real = (perf_counter() - gate_start) * 1000.0
-            gate_sim = self.gate.descriptor.simulated_latency_ms
-            latencies[STAGE_GATE] = gate_real + gate_sim
-            simulated_total += gate_sim
-            if blurry:
-                latencies[STAGE_TOTAL] = (perf_counter() - start) * 1000.0 + simulated_total
-                return PipelineResult(frame.frame_index, True, (), latencies)
+            blurry = timer.run(STAGE_GATE, self.gate.descriptor.simulated_latency_ms, self.gate.is_blurry, frame)
+        detections = () if blurry else tuple(self._detect(frame, truth, timer))
+        return PipelineResult(frame.frame_index, blurry, detections, timer.latencies())
 
-        parallel_correction = 0.0
-        if self.config.ensemble.mode == MODE_SIZE_AWARE:
-            boxes_a, lat_a, _ = self._timed_detect(self.detector_a, frame, truth)
-            latencies[STAGE_DETECTOR_A] = lat_a
-            simulated_total += self.detector_a.descriptor.simulated_latency_ms
-
-            b_real: dict[str, float] = {}
-
-            def b_supplier() -> list[ScoredBox]:
-                boxes_b, lat_b, real_b = self._timed_detect(self.detector_b, frame, truth)
-                latencies[STAGE_DETECTOR_B] = lat_b
-                b_real["ms"] = real_b
-                return boxes_b
-
-            ensemble_start = perf_counter()
-            detections, b_was_invoked = size_aware_ensemble(
-                boxes_a, b_supplier, frame.width, frame.height, self.config.ensemble
+    def _detect(self, frame: Frame, truth: FrameAnnotation | None, timer: StageTimer) -> list[ScoredBox]:
+        """Both detectors and the ensemble, each timed as its stage."""
+        a, b, ensemble = self.detector_a, self.detector_b, self.config.ensemble
+        call_a = (STAGE_DETECTOR_A, a.descriptor.simulated_latency_ms, a.detect, frame, truth)
+        call_b = (STAGE_DETECTOR_B, b.descriptor.simulated_latency_ms, b.detect, frame, truth)
+        if ensemble.mode == MODE_SIZE_AWARE:
+            boxes_a = timer.run(*call_a)
+            detections, _b_invoked = timer.run(
+                STAGE_ENSEMBLE, 0.0, size_aware_ensemble,
+                boxes_a, lambda: timer.run(*call_b), frame.width, frame.height, ensemble,
             )
-            ensemble_real = (perf_counter() - ensemble_start) * 1000.0 - b_real.get("ms", 0.0)
-            latencies[STAGE_ENSEMBLE] = max(ensemble_real, 0.0)
-            if b_was_invoked:
-                simulated_total += self.detector_b.descriptor.simulated_latency_ms
+            return detections
+        if self._pool is None:
+            boxes_a, boxes_b = timer.run(*call_a), timer.run(*call_b)
         else:
-            if self._pool is not None:
-                block_start = perf_counter()
-                future_a = self._pool.submit(self._timed_detect, self.detector_a, frame, truth)
-                future_b = self._pool.submit(self._timed_detect, self.detector_b, frame, truth)
-                boxes_a, lat_a, _ = future_a.result()
-                boxes_b, lat_b, _ = future_b.result()
-                block_real = (perf_counter() - block_start) * 1000.0
-                # Accounted block is the slower accounted detector; replace the
-                # measured overlap time with it.
-                parallel_correction = max(lat_a, lat_b) - block_real
-            else:
-                boxes_a, lat_a, _ = self._timed_detect(self.detector_a, frame, truth)
-                boxes_b, lat_b, _ = self._timed_detect(self.detector_b, frame, truth)
-                simulated_total += (
-                    self.detector_a.descriptor.simulated_latency_ms
-                    + self.detector_b.descriptor.simulated_latency_ms
-                )
-            latencies[STAGE_DETECTOR_A] = lat_a
-            latencies[STAGE_DETECTOR_B] = lat_b
-
-            ensemble_start = perf_counter()
-            detections = and_ensemble(boxes_a, boxes_b, self.config.ensemble)
-            latencies[STAGE_ENSEMBLE] = (perf_counter() - ensemble_start) * 1000.0
-
-        total = (perf_counter() - start) * 1000.0 + simulated_total + parallel_correction
-        latencies[STAGE_TOTAL] = max(total, 0.0)
-        return PipelineResult(frame.frame_index, False, tuple(detections), latencies)
+            boxes_a, boxes_b = timer.run_overlapped(self._pool, call_a, call_b)
+        return timer.run(STAGE_ENSEMBLE, 0.0, and_ensemble, boxes_a, boxes_b, ensemble)
 
     def process_stream(
         self,

@@ -26,53 +26,6 @@ def pixel_grid_iou(a: BoundingBox, b: BoundingBox) -> Fraction:
     return Fraction(inter, union)
 
 
-def union_find_components(width: int, height: int, bits: bytes, connectivity: int) -> list[dict]:
-    """Flood-fill oracle via union-find; returns per-component pixel stats
-    keyed in scan order of each component's first pixel."""
-    parent = list(range(width * height))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    if connectivity == 4:
-        offsets = ((1, 0), (0, 1))
-    else:
-        offsets = ((1, 0), (0, 1), (1, 1), (-1, 1))
-    for y in range(height):
-        for x in range(width):
-            if not bits[y * width + x]:
-                continue
-            for dx, dy in offsets:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height and bits[ny * width + nx]:
-                    union(y * width + x, ny * width + nx)
-
-    components: dict[int, dict] = {}
-    for y in range(height):
-        for x in range(width):
-            idx = y * width + x
-            if not bits[idx]:
-                continue
-            root = find(idx)
-            comp = components.setdefault(
-                root, {"count": 0, "min_x": x, "max_x": x, "min_y": y, "max_y": y, "first": idx}
-            )
-            comp["count"] += 1
-            comp["min_x"] = min(comp["min_x"], x)
-            comp["max_x"] = max(comp["max_x"], x)
-            comp["min_y"] = min(comp["min_y"], y)
-            comp["max_y"] = max(comp["max_y"], y)
-    return sorted(components.values(), key=lambda c: c["first"])
-
-
 def solid_frame(rgb: tuple[int, int, int], width: int = 8, height: int = 8, index: int = 0) -> Frame:
     return Frame(index, 0.0, width, height, bytes(rgb) * (width * height))
 

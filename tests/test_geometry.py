@@ -1,4 +1,4 @@
-"""Box geometry against brute-force pixel-grid and flood-fill oracles."""
+"""Box geometry against a brute-force pixel-grid oracle."""
 
 from __future__ import annotations
 
@@ -10,17 +10,14 @@ import pytest
 from scopeline.geometry import (
     SOURCE_A,
     SOURCE_B,
-    BinaryMask,
     BoundingBox,
     ScoredBox,
     iou,
-    iou_exact,
-    mask_to_boxes,
     nms,
     short_edge_ratio,
 )
 
-from conftest import pixel_grid_iou, union_find_components
+from conftest import pixel_grid_iou
 
 
 def random_box(rng: random.Random, limit: int = 64) -> BoundingBox:
@@ -59,25 +56,27 @@ class TestIou:
     def test_disjoint_boxes(self):
         assert iou(BoundingBox(0, 0, 10, 10), BoundingBox(20, 20, 5, 5)) == 0.0
 
+    # iou divides two exact integers, so it equals the correctly rounded
+    # value of the exact rational, with no tolerance.
     def test_small_overlap_exact(self):
-        assert iou_exact(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 2, 2)) == Fraction(1, 7)
+        assert iou(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 2, 2)) == float(Fraction(1, 7))
 
     def test_offset_overlap_exact(self):
-        got = iou_exact(BoundingBox(10, 10, 50, 50), BoundingBox(15, 15, 50, 50))
-        assert got == Fraction(2025, 2975)
-        assert abs(float(got) - 0.6807) < 5e-5
+        got = iou(BoundingBox(10, 10, 50, 50), BoundingBox(15, 15, 50, 50))
+        assert got == float(Fraction(2025, 2975))
+        assert abs(got - 0.6807) < 5e-5
 
     def test_symmetric(self):
         rng = random.Random(11)
         for _ in range(500):
             a, b = random_box(rng), random_box(rng)
-            assert iou_exact(a, b) == iou_exact(b, a)
+            assert iou(a, b) == iou(b, a)
 
     def test_matches_pixel_grid_oracle(self):
         rng = random.Random(23)
         for _ in range(2000):
             a, b = random_box(rng), random_box(rng)
-            assert iou_exact(a, b) == pixel_grid_iou(a, b)
+            assert iou(a, b) == float(pixel_grid_iou(a, b))
 
 
 class TestShortEdgeRatio:
@@ -149,58 +148,3 @@ class TestNms:
             threshold = rng.random()
             once = nms(boxes, threshold)
             assert nms(once, threshold) == once
-
-
-def random_mask(rng: random.Random, max_side: int = 32, density: float = 0.3) -> BinaryMask:
-    width = rng.randrange(1, max_side + 1)
-    height = rng.randrange(1, max_side + 1)
-    bits = bytes(1 if rng.random() < density else 0 for _ in range(width * height))
-    return BinaryMask(width, height, bits)
-
-
-class TestMaskToBoxes:
-    def test_empty_mask(self):
-        assert mask_to_boxes(BinaryMask(10, 10, bytes(100))) == []
-
-    def test_two_components(self):
-        mask = BinaryMask.from_pixels(10, 10, [(1, 1), (1, 2), (2, 1), (7, 7)])
-        assert mask_to_boxes(mask, min_area=1, connectivity=8) == [
-            BoundingBox(1, 1, 2, 2),
-            BoundingBox(7, 7, 1, 1),
-        ]
-
-    def test_min_area_filters(self):
-        mask = BinaryMask.from_pixels(10, 10, [(1, 1), (1, 2), (2, 1), (7, 7)])
-        assert mask_to_boxes(mask, min_area=2, connectivity=8) == [BoundingBox(1, 1, 2, 2)]
-
-    def test_diagonal_connectivity(self):
-        mask = BinaryMask.from_pixels(4, 4, [(0, 0), (1, 1)])
-        assert len(mask_to_boxes(mask, min_area=1, connectivity=8)) == 1
-        assert len(mask_to_boxes(mask, min_area=1, connectivity=4)) == 2
-
-    def test_bad_connectivity(self):
-        with pytest.raises(ValueError):
-            mask_to_boxes(BinaryMask(2, 2, bytes(4)), connectivity=6)
-
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_matches_union_find_oracle(self, connectivity):
-        rng = random.Random(400 + connectivity)
-        for _ in range(300):
-            mask = random_mask(rng)
-            boxes = mask_to_boxes(mask, min_area=1, connectivity=connectivity)
-            expected = union_find_components(mask.width, mask.height, mask.bits, connectivity)
-            assert len(boxes) == len(expected)
-            for box, comp in zip(boxes, expected):
-                assert (box.x, box.y) == (comp["min_x"], comp["min_y"])
-                assert (box.right - 1, box.bottom - 1) == (comp["max_x"], comp["max_y"])
-
-    def test_boxes_are_tight(self):
-        rng = random.Random(53)
-        for _ in range(200):
-            mask = random_mask(rng, max_side=16, density=0.25)
-            for box in mask_to_boxes(mask, min_area=1):
-                # Some set pixel of the component must touch every edge row/column.
-                assert any(mask.get(x, box.y) for x in range(box.x, box.right))
-                assert any(mask.get(x, box.bottom - 1) for x in range(box.x, box.right))
-                assert any(mask.get(box.x, y) for y in range(box.y, box.bottom))
-                assert any(mask.get(box.right - 1, y) for y in range(box.y, box.bottom))

@@ -171,7 +171,7 @@ class TestDirectoryFrameStream:
         frames = [solid_frame((i, i, i), index=i) for i in range(5)]
         self._write_stream(tmp_path, frames, fps=50.0)
         stream = DirectoryFrameStream(tmp_path)
-        got = list(stream)
+        got = [stream.read_frame(i) for i in range(stream.frame_count)]
         assert [f.frame_index for f in got] == [0, 1, 2, 3, 4]
         assert [f.timestamp_ms for f in got] == [i * 20.0 for i in range(5)]
 
@@ -205,4 +205,4 @@ def test_memory_stream_round_trip():
     stream = MemoryFrameStream(frames, fps=30.0)
     assert stream.frame_count == 3
     assert stream.read_frame(1) is frames[1]
-    assert list(stream) == frames
+    assert [stream.read_frame(i) for i in range(stream.frame_count)] == frames

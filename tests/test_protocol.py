@@ -69,13 +69,16 @@ class TestFraming:
                         "nested": {"k": [rng.random() for _ in range(rng.randrange(0, 4))]},
                     }
                 )
-            blob = b"".join(protocol.encode_message(m) for m in messages)
-            assert list(protocol.iter_messages(blob)) == messages
+            stream = io.BytesIO(b"".join(protocol.encode_message(m) for m in messages))
+            for message in messages:
+                assert protocol.read_message(stream) == message
+            assert protocol.read_message(stream) is None
 
     def test_trailing_garbage_detected(self):
-        blob = protocol.encode_message({"type": "x"}) + b"\x00\x00\x00"
+        stream = io.BytesIO(protocol.encode_message({"type": "x"}) + b"\x00\x00\x00")
+        assert protocol.read_message(stream) == {"type": "x"}
         with pytest.raises(ProtocolError):
-            list(protocol.iter_messages(blob))
+            protocol.read_message(stream)
 
 
 class TestCodecs:
