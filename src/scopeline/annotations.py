@@ -10,12 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import DataFormatError
 from .geometry import LABEL_INSTRUMENT, LABEL_POLYP, BoundingBox
 
 _KNOWN_LABELS = (LABEL_POLYP, LABEL_INSTRUMENT)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -65,23 +67,30 @@ def annotation_from_dict(row: Mapping) -> FrameAnnotation:
         raise DataFormatError(f"bad annotation row: {exc}") from exc
 
 
-def load_annotations(path: str | Path) -> list[FrameAnnotation]:
-    """Read an annotations JSONL file; raises DataFormatError naming the bad line."""
-    annotations = []
+def load_jsonl(path: str | Path, parse_row: Callable[[object], T]) -> list[T]:
+    """``parse_row`` applied to each non-blank line of a JSON Lines file.
+
+    Invalid JSON, and a row that ``parse_row`` rejects with DataFormatError,
+    raise DataFormatError naming ``path:lineno``.
+    """
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = json.loads(line)
+                rows.append(parse_row(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                annotations.append(annotation_from_dict(row))
             except DataFormatError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return annotations
+    return rows
+
+
+def load_annotations(path: str | Path) -> list[FrameAnnotation]:
+    """Read an annotations JSONL file; raises DataFormatError naming the bad line."""
+    return load_jsonl(path, annotation_from_dict)
 
 
 def save_annotations(path: str | Path, annotations: Iterable[FrameAnnotation]) -> None:

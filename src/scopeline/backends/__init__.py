@@ -1,19 +1,16 @@
 """Detector and blur-gate backends: synthetic simulation and external processes."""
 
-from .base import BackendDescriptor, BlurGate, DetectorBackend, HeuristicBlurGate
+from .base import BlurGate, DetectorBackend, HeuristicBlurGate
 from .external import (
     ExternalBlurGate,
     ExternalClient,
     ExternalDetectorBackend,
     SubprocessTransport,
     TcpTransport,
-    connect_tcp_client,
-    spawn_subprocess_client,
 )
 from .synthetic import SyntheticDetector, SyntheticDetectorConfig, synthetic_detect
 
 __all__ = [
-    "BackendDescriptor",
     "BlurGate",
     "DetectorBackend",
     "HeuristicBlurGate",
@@ -22,8 +19,6 @@ __all__ = [
     "ExternalDetectorBackend",
     "SubprocessTransport",
     "TcpTransport",
-    "connect_tcp_client",
-    "spawn_subprocess_client",
     "SyntheticDetector",
     "SyntheticDetectorConfig",
     "synthetic_detect",

@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from ..annotations import FrameAnnotation
 from ..geometry import ScoredBox
 from ..media import DEFAULT_BLUR_THRESHOLD, Frame, heuristic_blur_gate
-
-
-@dataclass(frozen=True)
-class BackendDescriptor:
-    """Backend identity plus the latency its stage charges on top of wall time."""
-
-    name: str
-    simulated_latency_ms: float = 0.0
 
 
 @runtime_checkable
@@ -24,11 +15,7 @@ class DetectorBackend(Protocol):
 
     ``detect`` must be deterministic for a fixed backend state and frame.
     ``truth`` is consumed by synthetic backends and ignored by real ones.
-    Implementations count calls in ``invocations``.
     """
-
-    descriptor: BackendDescriptor
-    invocations: int
 
     def detect(self, frame: Frame, truth: FrameAnnotation | None = None) -> list[ScoredBox]: ...
 
@@ -37,24 +24,14 @@ class DetectorBackend(Protocol):
 class BlurGate(Protocol):
     """Frame-level blur verdict; True means drop the frame before detection."""
 
-    descriptor: BackendDescriptor
-    invocations: int
-
     def is_blurry(self, frame: Frame) -> bool: ...
 
 
 class HeuristicBlurGate:
     """Laplacian-variance gate standing in for a trained blur classifier."""
 
-    def __init__(
-        self,
-        threshold: float = DEFAULT_BLUR_THRESHOLD,
-        simulated_latency_ms: float = 0.0,
-    ):
+    def __init__(self, threshold: float = DEFAULT_BLUR_THRESHOLD):
         self.threshold = threshold
-        self.descriptor = BackendDescriptor("heuristic-blur-gate", simulated_latency_ms)
-        self.invocations = 0
 
     def is_blurry(self, frame: Frame) -> bool:
-        self.invocations += 1
         return heuristic_blur_gate(frame, self.threshold)

@@ -1,8 +1,12 @@
 """Clients for external-process backends speaking the framed JSON protocol.
 
 Transport is a local byte stream: either the standard streams of a child
-process or a TCP socket. Requests on one connection are serialized; a
-desync (wrong frame_index echo) closes the connection.
+process or a TCP socket. Requests on one connection are serialized, and
+every response must echo its request's ``frame_index``.
+:meth:`ExternalClient.request` alone decides when to distrust a connection:
+it closes it on a desync (a wrong or missing echo) and on a framing fault
+(a response that is not one whole, well-formed frame), and refuses every
+later request.
 """
 
 from __future__ import annotations
@@ -12,11 +16,10 @@ import subprocess
 from typing import BinaryIO, Sequence
 
 from ..annotations import FrameAnnotation
-from ..errors import BackendError, DesyncError
+from ..errors import BackendError, DesyncError, ProtocolError
 from ..geometry import ScoredBox
 from ..media import Frame
 from . import protocol
-from .base import BackendDescriptor
 
 
 class SubprocessTransport:
@@ -81,17 +84,22 @@ class ExternalClient:
         self._closed = False
 
     def request(self, body: dict) -> dict:
+        """Send one request and return the response that echoes its ``frame_index``."""
         if self._closed:
             raise BackendError("backend connection is closed")
         try:
             protocol.write_message(self._transport.writer, body)
             response = protocol.read_message(self._transport.reader)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, ProtocolError) as exc:
             self.close()
             raise BackendError(f"backend transport failed: {exc}") from exc
         if response is None:
             self.close()
             raise BackendError("backend closed the connection")
+        echoed = response.get("frame_index")
+        if echoed != body["frame_index"]:
+            self.close()
+            raise DesyncError(f"peer echoed frame_index {echoed!r}, expected {body['frame_index']}")
         return response
 
     def close(self) -> None:
@@ -103,22 +111,13 @@ class ExternalClient:
 class ExternalDetectorBackend:
     """DetectorBackend adapter over an :class:`ExternalClient`."""
 
-    def __init__(self, client: ExternalClient, source: str, name: str = "external"):
+    def __init__(self, client: ExternalClient, source: str):
         self.client = client
         self.source = source
-        self.descriptor = BackendDescriptor(f"{name}:{source}")
-        self.invocations = 0
 
     def detect(self, frame: Frame, truth: FrameAnnotation | None = None) -> list[ScoredBox]:
-        self.invocations += 1
         response = self.client.request(protocol.encode_detect_request(frame))
-        try:
-            return protocol.decode_detections(
-                response, frame.frame_index, self.source, frame.width, frame.height
-            )
-        except DesyncError:
-            self.client.close()
-            raise
+        return protocol.decode_detections(response, self.source, frame.width, frame.height)
 
     def close(self) -> None:
         self.client.close()
@@ -127,27 +126,11 @@ class ExternalDetectorBackend:
 class ExternalBlurGate:
     """BlurGate adapter over an :class:`ExternalClient`."""
 
-    def __init__(self, client: ExternalClient, simulated_latency_ms: float = 0.0, name: str = "external"):
+    def __init__(self, client: ExternalClient):
         self.client = client
-        self.descriptor = BackendDescriptor(f"{name}:blur-gate", simulated_latency_ms)
-        self.invocations = 0
 
     def is_blurry(self, frame: Frame) -> bool:
-        self.invocations += 1
-        response = self.client.request(protocol.encode_blur_request(frame))
-        try:
-            return protocol.decode_blur_verdict(response, frame.frame_index)
-        except DesyncError:
-            self.client.close()
-            raise
+        return protocol.decode_blur_verdict(self.client.request(protocol.encode_blur_request(frame)))
 
     def close(self) -> None:
         self.client.close()
-
-
-def spawn_subprocess_client(command: Sequence[str]) -> ExternalClient:
-    return ExternalClient(SubprocessTransport(command))
-
-
-def connect_tcp_client(host: str, port: int) -> ExternalClient:
-    return ExternalClient(TcpTransport(host, port))

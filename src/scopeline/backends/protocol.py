@@ -12,8 +12,10 @@ Message types:
   ``blur_verdict``  {"type","frame_index","blurry"}
 
 Pixels travel base64-inline (row-major RGB8) so the peer needs no shared
-filesystem. Responses echo ``frame_index``; a mismatch is a desync and the
-connection must be reset.
+filesystem. Every response echoes its request's ``frame_index``. The client
+(:meth:`scopeline.backends.external.ExternalClient.request`) resets the
+connection on a desync (a wrong or missing echo) and on a framing fault (a
+response that is not one whole, well-formed frame).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import struct
 from typing import BinaryIO, Sequence
 
-from ..errors import DataFormatError, DesyncError, ProtocolError
+from ..errors import DataFormatError, ProtocolError
 from ..geometry import BoundingBox, ScoredBox
 from ..media import Frame
 
@@ -125,24 +127,9 @@ def _expect_type(body: dict, expected: str) -> None:
         raise ProtocolError(f"expected message type {expected!r}, got {body['type']!r}")
 
 
-def _check_echo(body: dict, expected_frame_index: int) -> None:
-    echoed = body.get("frame_index")
-    if echoed != expected_frame_index:
-        raise DesyncError(
-            f"peer echoed frame_index {echoed!r}, expected {expected_frame_index}"
-        )
-
-
-def decode_detections(
-    body: dict,
-    expected_frame_index: int,
-    source: str,
-    image_w: int | None = None,
-    image_h: int | None = None,
-) -> list[ScoredBox]:
-    """Validate and convert a detections response into ScoredBoxes."""
+def decode_detections(body: dict, source: str, image_w: int, image_h: int) -> list[ScoredBox]:
+    """Validate and convert a detections response into ScoredBoxes inside the image."""
     _expect_type(body, TYPE_DETECTIONS)
-    _check_echo(body, expected_frame_index)
     raw = body.get("boxes")
     if not isinstance(raw, list):
         raise ProtocolError("detections response lacks a 'boxes' list")
@@ -153,7 +140,7 @@ def decode_detections(
             scored = ScoredBox(box, float(entry["score"]), source)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"invalid box at index {i}: {exc}") from exc
-        if image_w is not None and image_h is not None and not box.within(image_w, image_h):
+        if not box.within(image_w, image_h):
             raise DataFormatError(
                 f"invalid box at index {i}: {box} exceeds image extent {image_w}x{image_h}"
             )
@@ -165,11 +152,9 @@ def encode_blur_verdict(frame_index: int, blurry: bool) -> dict:
     return {"type": TYPE_BLUR_VERDICT, "frame_index": frame_index, "blurry": blurry}
 
 
-def decode_blur_verdict(body: dict, expected_frame_index: int) -> bool:
-    """Validate a blur_verdict response; echo is checked when present."""
+def decode_blur_verdict(body: dict) -> bool:
+    """Validate a blur_verdict response."""
     _expect_type(body, TYPE_BLUR_VERDICT)
-    if "frame_index" in body:
-        _check_echo(body, expected_frame_index)
     if "blurry" not in body or not isinstance(body["blurry"], bool):
         raise ProtocolError("blur_verdict response lacks a boolean 'blurry' field")
     return body["blurry"]

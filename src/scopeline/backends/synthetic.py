@@ -22,7 +22,6 @@ from ..errors import ConfigError
 from ..geometry import SOURCE_A, BoundingBox, ScoredBox
 from ..media import Frame
 from ..rng import SplitMix64, frame_seed
-from .base import BackendDescriptor
 
 # False positives are log-uniform between this edge and half the image short edge.
 FP_MIN_EDGE_PX = 8
@@ -118,11 +117,8 @@ class SyntheticDetector:
     def __init__(self, config: SyntheticDetectorConfig, source: str = SOURCE_A):
         self.config = config
         self.source = source
-        self.descriptor = BackendDescriptor(f"synthetic:{source}", config.simulated_latency_ms)
-        self.invocations = 0
 
     def detect(self, frame: Frame, truth: FrameAnnotation | None = None) -> list[ScoredBox]:
-        self.invocations += 1
         return synthetic_detect(
             self.config, frame.frame_index, truth, frame.width, frame.height, self.source
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .backends.synthetic import SyntheticDetectorConfig
-from .datagen import DatasetSpec, FramePlan, plan_video, render_frame
+from .datagen import DatasetSpec, plan_video, render_frame
 from .ensemble import EnsembleConfig
 from .errors import ConfigError
 from .media import MemoryFrameStream

@@ -8,6 +8,7 @@ bit-exact and round-trips through :func:`encode_ppm` for canonical headers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -47,45 +48,29 @@ class Frame:
         return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width, 3)
 
 
-def _is_ppm_whitespace(byte: int) -> bool:
-    return byte in (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
-
-
-def _skip_whitespace(data: bytes, pos: int) -> int:
-    """Advance past whitespace and '#'-to-end-of-line comments."""
-    while pos < len(data):
-        if _is_ppm_whitespace(data[pos]):
-            pos += 1
-        elif data[pos] == 0x23:  # '#'
-            while pos < len(data) and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    return pos
-
-
-def _read_int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_whitespace(data, pos)
-    start = pos
-    while pos < len(data) and 0x30 <= data[pos] <= 0x39:
-        pos += 1
-    if pos == start:
-        raise MediaFormatError(f"expected {what} digits at byte {start}")
-    return int(data[start:pos]), pos
+# One header integer after any whitespace and '#'-to-end-of-line comments; the
+# digits group is empty where the header has no integer.
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\d*)")
 
 
 def decode_ppm(data: bytes) -> tuple[int, int, bytes]:
     """Decode a binary PPM ("P6", maxval 255) into (width, height, pixels)."""
     if data[:2] != b"P6":
         raise MediaFormatError("not a binary PPM: expected magic 'P6' at byte 0")
-    width, pos = _read_int_token(data, 2, "width")
-    height, pos = _read_int_token(data, pos, "height")
-    maxval, pos = _read_int_token(data, pos, "maxval")
+    pos = 2
+    values = []
+    for what in ("width", "height", "maxval"):
+        token = _PPM_TOKEN.match(data, pos)
+        if not token.group(1):
+            raise MediaFormatError(f"expected {what} digits at byte {token.start(1)}")
+        values.append(int(token.group(1)))
+        pos = token.end()
+    width, height, maxval = values
     if width < 1 or height < 1:
         raise MediaFormatError(f"invalid raster extent {width}x{height} in header")
     if maxval != 255:
-        raise MediaFormatError(f"unsupported maxval {maxval} at byte {pos - len(str(maxval))}")
-    if pos >= len(data) or not _is_ppm_whitespace(data[pos]):
+        raise MediaFormatError(f"unsupported maxval {maxval} at byte {token.start(1)}")
+    if not data[pos : pos + 1].isspace():
         raise MediaFormatError(f"expected single whitespace after maxval at byte {pos}")
     pos += 1
     expected = 3 * width * height

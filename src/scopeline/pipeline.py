@@ -1,7 +1,7 @@
 """Per-frame orchestration: blur gate, detector pair, ensemble, latency accounting.
 
 Each stage of a frame records its real time (monotonic clock, less any stage
-nested in it) and the simulated latency its backend charges, so the
+nested in it) and the simulated latency its config charges, so the
 paper-scale timing arithmetic is testable in milliseconds of real time. A
 stage's accounted time is its real time plus its simulated latency. The
 accounting rule: ``total_wall`` is the frame's real wall time with each
@@ -17,7 +17,6 @@ modes.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -26,14 +25,14 @@ from time import perf_counter
 from types import UnionType
 from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
-from .annotations import FrameAnnotation
+from .annotations import FrameAnnotation, load_jsonl
 from .backends.base import BlurGate, DetectorBackend, HeuristicBlurGate
 from .backends.external import (
     ExternalBlurGate,
     ExternalClient,
     ExternalDetectorBackend,
-    connect_tcp_client,
-    spawn_subprocess_client,
+    SubprocessTransport,
+    TcpTransport,
 )
 from .backends.synthetic import SyntheticDetector, SyntheticDetectorConfig
 from .ensemble import MODE_SIZE_AWARE, EnsembleConfig, and_ensemble, size_aware_ensemble
@@ -254,8 +253,8 @@ class RunSummary:
 
 def _connect(spec: ExternalBackendSpec) -> ExternalClient:
     if spec.transport == TRANSPORT_SUBPROCESS:
-        return spawn_subprocess_client(spec.command)
-    return connect_tcp_client(spec.host, spec.port)
+        return ExternalClient(SubprocessTransport(spec.command))
+    return ExternalClient(TcpTransport(spec.host, spec.port))
 
 
 def build_detector(spec: DetectorSpec, source: str) -> DetectorBackend:
@@ -268,8 +267,13 @@ def build_gate(config: GateConfig) -> BlurGate | None:
     if config.kind == GATE_DISABLED:
         return None
     if config.kind == GATE_HEURISTIC:
-        return HeuristicBlurGate(config.threshold, config.simulated_latency_ms)
-    return ExternalBlurGate(_connect(config.external), config.simulated_latency_ms)
+        return HeuristicBlurGate(config.threshold)
+    return ExternalBlurGate(_connect(config.external))
+
+
+def _simulated_ms(spec: DetectorSpec) -> float:
+    """A detector's simulated cost: its synthetic config's, or 0 for an external backend."""
+    return spec.simulated_latency_ms if isinstance(spec, SyntheticDetectorConfig) else 0.0
 
 
 def _timed(fn: Callable, *args) -> tuple[object, float]:
@@ -376,15 +380,16 @@ class Pipeline:
         timer = StageTimer()
         blurry = False
         if self.gate is not None:
-            blurry = timer.run(STAGE_GATE, self.gate.descriptor.simulated_latency_ms, self.gate.is_blurry, frame)
+            blurry = timer.run(STAGE_GATE, self.config.gate.simulated_latency_ms, self.gate.is_blurry, frame)
         detections = () if blurry else tuple(self._detect(frame, truth, timer))
         return PipelineResult(frame.frame_index, blurry, detections, timer.latencies())
 
     def _detect(self, frame: Frame, truth: FrameAnnotation | None, timer: StageTimer) -> list[ScoredBox]:
         """Both detectors and the ensemble, each timed as its stage."""
-        a, b, ensemble = self.detector_a, self.detector_b, self.config.ensemble
-        call_a = (STAGE_DETECTOR_A, a.descriptor.simulated_latency_ms, a.detect, frame, truth)
-        call_b = (STAGE_DETECTOR_B, b.descriptor.simulated_latency_ms, b.detect, frame, truth)
+        a_ms, b_ms = _simulated_ms(self.config.detector_a), _simulated_ms(self.config.detector_b)
+        call_a = (STAGE_DETECTOR_A, a_ms, self.detector_a.detect, frame, truth)
+        call_b = (STAGE_DETECTOR_B, b_ms, self.detector_b.detect, frame, truth)
+        ensemble = self.config.ensemble
         if ensemble.mode == MODE_SIZE_AWARE:
             boxes_a = timer.run(*call_a)
             detections, _b_invoked = timer.run(
@@ -398,12 +403,7 @@ class Pipeline:
             boxes_a, boxes_b = timer.run_overlapped(self._pool, call_a, call_b)
         return timer.run(STAGE_ENSEMBLE, 0.0, and_ensemble, boxes_a, boxes_b, ensemble)
 
-    def process_stream(
-        self,
-        stream,
-        sink: Callable[[PipelineResult], None],
-        on_error: Callable[[int, Exception], None] | None = None,
-    ) -> RunSummary:
+    def process_stream(self, stream, sink: Callable[[PipelineResult], None]) -> RunSummary:
         """Process every frame of a stream, delivering results in frame order.
 
         Frame-level failures (backend faults, undecodable frames) are
@@ -421,8 +421,6 @@ class Pipeline:
             except (ScopelineError, OSError) as exc:
                 failed_frames += 1
                 result = PipelineResult(frame_index, False, (), {}, error=str(exc))
-                if on_error is not None:
-                    on_error(frame_index, exc)
             if result.blurry:
                 blurry_frames += 1
             for stage, value in result.stage_latencies.items():
@@ -482,18 +480,4 @@ def result_from_dict(row: Mapping) -> PipelineResult:
 
 def load_results(path: str | Path) -> list[PipelineResult]:
     """Read a results.jsonl file; raises DataFormatError naming the bad line."""
-    results = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                results.append(result_from_dict(row))
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return results
+    return load_jsonl(path, result_from_dict)

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from scopeline.geometry import BoundingBox
 from scopeline.media import Frame
+
+# Backend subprocesses started by the tests (``python -m scopeline.backends.stub``)
+# import the package from this checkout too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def pixel_grid_iou(a: BoundingBox, b: BoundingBox) -> Fraction:

@@ -52,6 +52,20 @@ class TestPpmCodec:
         with pytest.raises(MediaFormatError, match="height"):
             decode_ppm(b"P6\n17")
 
+    def test_comment_straight_after_a_digit(self):
+        assert decode_ppm(b"P6 2#c\n1 255\n" + bytes(6)) == (2, 1, bytes(6))
+
+    def test_vertical_tab_and_form_feed_separate_tokens(self):
+        assert decode_ppm(b"P6\x0b2\x0c1\x0b255\x0c" + bytes(6)) == (2, 1, bytes(6))
+
+    def test_non_space_after_maxval_names_offset(self):
+        with pytest.raises(MediaFormatError, match="after maxval at byte 10"):
+            decode_ppm(b"P6\n1 1\n255x" + bytes(3))
+
+    def test_unsupported_maxval_names_its_first_digit(self):
+        with pytest.raises(MediaFormatError, match="maxval 7 at byte 7"):
+            decode_ppm(b"P6 1 1 007\n" + bytes(3))
+
     def test_round_trip_random_rasters(self):
         rng = random.Random(99)
         for _ in range(200):

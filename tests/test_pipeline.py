@@ -15,7 +15,6 @@ import pytest
 
 from scopeline import cli
 from scopeline.annotations import FrameAnnotation, LabeledBox, annotations_by_frame, load_annotations
-from scopeline.backends.base import BackendDescriptor
 from scopeline.backends.synthetic import SyntheticDetectorConfig, synthetic_detect
 from scopeline.datagen import DatasetSpec, FramePlan, plan_video, render_frame, write_dataset
 from scopeline.ensemble import EnsembleConfig
@@ -121,9 +120,8 @@ def test_size_aware_calls_b_exactly_on_frames_with_a_large_a_box(video_dir):
     with Pipeline(config, truth) as pipeline:
         for plan in plan_video(SPEC, 0):
             frame = stream.read_frame(plan.frame_index)
-            before = pipeline.detector_b.invocations
-            pipeline.process_frame(frame)
-            called.append(pipeline.detector_b.invocations - before)
+            result = pipeline.process_frame(frame)
+            called.append(int("detector_b" in result.stage_latencies))
             boxes_a = [] if plan.blurry else synthetic_detect(
                 config.detector_a, plan.frame_index, truth.get(plan.frame_index), SPEC.width, SPEC.height
             )
@@ -181,12 +179,7 @@ def test_total_wall_is_simulated_cost_plus_real_time(execution, mode, blurry, po
 class RaisingDetector:
     source = "detector-A"
 
-    def __init__(self):
-        self.descriptor = BackendDescriptor("raising")
-        self.invocations = 0
-
     def detect(self, frame, truth=None):
-        self.invocations += 1
         raise BackendError("detector A failed")
 
 
@@ -196,8 +189,7 @@ class SlowDetector:
     source = "detector-B"
 
     def __init__(self, delay_s: float):
-        self.descriptor = BackendDescriptor("slow")
-        self.invocations = 0
+        self.calls = 0
         self.delay_s = delay_s
         self.in_flight = 0
         self.max_in_flight = 0
@@ -205,7 +197,7 @@ class SlowDetector:
 
     def detect(self, frame, truth=None):
         with self._lock:
-            self.invocations += 1
+            self.calls += 1
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
         time.sleep(self.delay_s)
@@ -228,7 +220,7 @@ def test_parallel_failure_waits_for_the_other_detector():
         pipeline.detector_b = slow
         summary = pipeline.process_stream(MemoryFrameStream(frames), lambda result: None)
     assert summary.failed_frames == 20
-    assert slow.invocations == 20
+    assert slow.calls == 20
     assert slow.max_in_flight == 1
 
 

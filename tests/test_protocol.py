@@ -15,9 +15,10 @@ import pytest
 from scopeline.backends import protocol
 from scopeline.backends.external import (
     ExternalBlurGate,
+    ExternalClient,
     ExternalDetectorBackend,
-    connect_tcp_client,
-    spawn_subprocess_client,
+    SubprocessTransport,
+    TcpTransport,
 )
 from scopeline.errors import BackendError, DataFormatError, DesyncError, ProtocolError
 from scopeline.geometry import SOURCE_A, BoundingBox, ScoredBox
@@ -101,13 +102,8 @@ class TestCodecs:
             ScoredBox(BoundingBox(9, 9, 20, 12), 0.25),
         ]
         body = protocol.encode_detections(7, boxes)
-        decoded = protocol.decode_detections(body, 7, SOURCE_A)
+        decoded = protocol.decode_detections(body, SOURCE_A, 64, 64)
         assert [(sb.box, sb.score) for sb in decoded] == [(sb.box, sb.score) for sb in boxes]
-
-    def test_wrong_frame_index_is_desync(self):
-        body = protocol.encode_detections(8, [])
-        with pytest.raises(DesyncError):
-            protocol.decode_detections(body, 7, SOURCE_A)
 
     def test_invalid_box_names_index(self):
         body = {
@@ -116,7 +112,7 @@ class TestCodecs:
             "boxes": [{"x": 0, "y": 0, "w": 4, "h": 4, "score": 0.5}, {"x": 0, "y": 0, "w": 0, "h": 4, "score": 0.5}],
         }
         with pytest.raises(DataFormatError, match="index 1"):
-            protocol.decode_detections(body, 0, SOURCE_A)
+            protocol.decode_detections(body, SOURCE_A, 64, 64)
 
     def test_box_outside_image_rejected(self):
         body = {
@@ -125,20 +121,76 @@ class TestCodecs:
             "boxes": [{"x": 60, "y": 0, "w": 10, "h": 4, "score": 0.5}],
         }
         with pytest.raises(DataFormatError, match="index 0"):
-            protocol.decode_detections(body, 0, SOURCE_A, image_w=64, image_h=64)
+            protocol.decode_detections(body, SOURCE_A, 64, 64)
 
     def test_blur_verdict_round_trip(self):
-        assert protocol.decode_blur_verdict(protocol.encode_blur_verdict(4, True), 4) is True
-        assert protocol.decode_blur_verdict(protocol.encode_blur_verdict(4, False), 4) is False
+        assert protocol.decode_blur_verdict(protocol.encode_blur_verdict(4, True)) is True
+        assert protocol.decode_blur_verdict(protocol.encode_blur_verdict(4, False)) is False
 
     def test_blur_verdict_missing_field(self):
         with pytest.raises(ProtocolError, match="blurry"):
-            protocol.decode_blur_verdict({"type": "blur_verdict", "frame_index": 4}, 4)
+            protocol.decode_blur_verdict({"type": "blur_verdict", "frame_index": 4})
+
+
+class FakeTransport:
+    """In-memory transport: the peer's replies are fixed bytes, requests are kept."""
+
+    def __init__(self, replies: bytes):
+        self.reader = io.BytesIO(replies)
+        self.writer = io.BytesIO()
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def detect_call(client: ExternalClient):
+    return ExternalDetectorBackend(client, SOURCE_A).detect
+
+
+def blur_call(client: ExternalClient):
+    return ExternalBlurGate(client).is_blurry
+
+
+class TestClientResetRule:
+    """``ExternalClient.request`` closes the connection on a desync or a framing fault."""
+
+    FRAME = solid_frame((0, 0, 0), width=8, height=8, index=7)
+
+    @pytest.mark.parametrize(
+        "adapter, reply, error",
+        [
+            (detect_call, protocol.encode_message(protocol.encode_detections(8, [])), DesyncError),
+            (blur_call, protocol.encode_message({"type": "blur_verdict", "blurry": True}), DesyncError),
+            (detect_call, struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1), BackendError),
+            (detect_call, struct.pack(">I", 2) + b"[]", BackendError),
+            (blur_call, b"\x00\x00", BackendError),
+        ],
+        ids=["wrong-echo", "missing-blur-echo", "oversized-length", "non-object-body", "torn-header"],
+    )
+    def test_fault_closes_the_transport(self, adapter, reply, error):
+        # A well-formed reply queued behind the fault must never be read.
+        transport = FakeTransport(reply + protocol.encode_message(protocol.encode_detections(7, [])))
+        call = adapter(ExternalClient(transport))
+        with pytest.raises(error):
+            call(self.FRAME)
+        assert transport.closed
+        with pytest.raises(BackendError, match="closed"):
+            call(self.FRAME)
+
+    def test_matching_echo_keeps_the_connection(self):
+        replies = [protocol.encode_detections(7, []), protocol.encode_blur_verdict(7, False)]
+        transport = FakeTransport(b"".join(map(protocol.encode_message, replies)))
+        client = ExternalClient(transport)
+        assert ExternalDetectorBackend(client, SOURCE_A).detect(self.FRAME) == []
+        assert ExternalBlurGate(client).is_blurry(self.FRAME) is False
+        assert not transport.closed
+        assert protocol.read_message(io.BytesIO(transport.writer.getvalue()))["frame_index"] == 7
 
 
 class TestStubSubprocess:
     def test_detect_round_trip(self):
-        client = spawn_subprocess_client(STUB + ["--box", "5,6,20,10,0.75"])
+        client = ExternalClient(SubprocessTransport(STUB + ["--box", "5,6,20,10,0.75"]))
         backend = ExternalDetectorBackend(client, SOURCE_A)
         try:
             frame = solid_frame((1, 2, 3), width=64, height=48, index=4)
@@ -146,12 +198,11 @@ class TestStubSubprocess:
             assert out == [ScoredBox(BoundingBox(5, 6, 20, 10), 0.75, SOURCE_A)]
             out2 = backend.detect(solid_frame((1, 2, 3), width=64, height=48, index=5))
             assert [sb.box for sb in out2] == [BoundingBox(5, 6, 20, 10)]
-            assert backend.invocations == 2
         finally:
             backend.close()
 
     def test_blur_gate_round_trip(self):
-        client = spawn_subprocess_client(STUB)
+        client = ExternalClient(SubprocessTransport(STUB))
         gate = ExternalBlurGate(client)
         try:
             assert gate.is_blurry(solid_frame((50, 50, 50), width=8, height=8)) is True
@@ -160,7 +211,7 @@ class TestStubSubprocess:
             gate.close()
 
     def test_desync_closes_connection(self):
-        client = spawn_subprocess_client(STUB + ["--desync"])
+        client = ExternalClient(SubprocessTransport(STUB + ["--desync"]))
         backend = ExternalDetectorBackend(client, SOURCE_A)
         try:
             with pytest.raises(DesyncError):
@@ -171,7 +222,7 @@ class TestStubSubprocess:
             backend.close()
 
     def test_dead_process_reported_as_backend_error(self):
-        client = spawn_subprocess_client([sys.executable, "-c", "pass"])
+        client = ExternalClient(SubprocessTransport([sys.executable, "-c", "pass"]))
         backend = ExternalDetectorBackend(client, SOURCE_A)
         try:
             with pytest.raises(BackendError):
@@ -194,7 +245,7 @@ class TestStubTcp:
             client = None
             for _ in range(100):
                 try:
-                    client = connect_tcp_client("127.0.0.1", port)
+                    client = ExternalClient(TcpTransport("127.0.0.1", port))
                     break
                 except BackendError:
                     time.sleep(0.05)
