@@ -6,7 +6,7 @@ from .annotations import FrameAnnotation, LabeledBox
 from .ensemble import EnsembleConfig, and_ensemble, size_aware_ensemble
 from .evaluation import ConfusionCounts, MatchConfig, match_frame, prf
 from .geometry import BoundingBox, ScoredBox, iou, nms, short_edge_ratio
-from .media import Frame, decode_ppm, encode_ppm, heuristic_blur_gate, laplacian_variance, luma
+from .media import Frame, decode_ppm, encode_ppm, heuristic_blur_gate
 from .pipeline import Pipeline, PipelineConfig, PipelineResult
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "decode_ppm",
     "encode_ppm",
     "heuristic_blur_gate",
-    "laplacian_variance",
-    "luma",
     "Pipeline",
     "PipelineConfig",
     "PipelineResult",

@@ -6,7 +6,7 @@ from typing import Protocol, runtime_checkable
 
 from ..annotations import FrameAnnotation
 from ..geometry import ScoredBox
-from ..media import DEFAULT_BLUR_THRESHOLD, Frame, heuristic_blur_gate
+from ..media import DEFAULT_BLUR_THRESHOLD, Frame, LaplacianVarianceScorer
 
 
 @runtime_checkable
@@ -28,10 +28,15 @@ class BlurGate(Protocol):
 
 
 class HeuristicBlurGate:
-    """Laplacian-variance gate standing in for a trained blur classifier."""
+    """Laplacian-variance gate standing in for a trained blur classifier.
+
+    Blurry when the frame's exact Laplacian variance is below ``threshold``;
+    the gate's one scorer keeps its work buffers from frame to frame.
+    """
 
     def __init__(self, threshold: float = DEFAULT_BLUR_THRESHOLD):
         self.threshold = threshold
+        self._scorer = LaplacianVarianceScorer()
 
     def is_blurry(self, frame: Frame) -> bool:
-        return heuristic_blur_gate(frame, self.threshold)
+        return self._scorer.variance(frame) < self.threshold

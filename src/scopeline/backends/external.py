@@ -2,7 +2,7 @@
 
 Transport is a local byte stream: either the standard streams of a child
 process or a TCP socket. Requests on one connection are serialized, and
-every response must echo its request's ``frame_index``.
+every response must echo its request's ``frame_index`` as a JSON integer.
 :meth:`ExternalClient.request` alone decides when to distrust a connection:
 it closes it on a desync (a wrong or missing echo) and on a framing fault
 (a response that is not one whole, well-formed frame), and refuses every
@@ -97,7 +97,7 @@ class ExternalClient:
             self.close()
             raise BackendError("backend closed the connection")
         echoed = response.get("frame_index")
-        if echoed != body["frame_index"]:
+        if type(echoed) is not int or echoed != body["frame_index"]:  # not a bool or a float
             self.close()
             raise DesyncError(f"peer echoed frame_index {echoed!r}, expected {body['frame_index']}")
         return response

@@ -1,7 +1,9 @@
 """Operator entry point: run pipelines, evaluate results, benchmark, generate fixtures.
 
-Exit codes: 0 success, 2 configuration error, 3 input-data error. Output
-files are written to a temporary name and atomically renamed into place.
+Exit codes: 0 success, 1 any other scopeline error (such as a backend that
+cannot start), 2 configuration error, 3 input-data error. Output files are
+written to a temporary name and atomically renamed into place; a failed
+write leaves no temporary file behind.
 Log verbosity comes from the SCOPELINE_LOG environment variable.
 """
 
@@ -53,8 +55,13 @@ LATENCY_REPORT_NAME = "latency_report.json"
 
 
 def _atomic_write(path: Path, write_fn: Callable[[Path], None]) -> None:
+    """``write_fn`` writes a temporary file that replaces ``path``, or is removed if it raises."""
     tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
+    try:
+        write_fn(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

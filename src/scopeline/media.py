@@ -1,8 +1,22 @@
-"""Frame ingestion from binary PPM sequences and the Laplacian-variance blur scorer.
+"""Frame ingestion from binary PPM sequences and the exact Laplacian-variance blur scorer.
 
 A frame directory holds ``manifest.json`` plus one ``<frame_index:06d>.ppm``
 per frame. Only binary PPM ("P6", maxval 255) is supported; the decode is
 bit-exact and round-trips through :func:`encode_ppm` for canonical headers.
+
+The blur score is the population variance of the 4-neighbour Laplacian of
+BT.601 luma over the interior pixels (Pech-Pacheco et al., ICPR 2000),
+computed in exact integers. Luma is scaled by 1000 to
+``Y' = 299 R + 587 G + 114 B`` and the Laplacian
+``L' = Y'(up) + Y'(down) + Y'(left) + Y'(right) - 4 Y'`` is 1000 times the
+Laplacian of the real-valued luma. With ``n`` interior pixels,
+``S1 = sum L'`` and ``S2 = sum L'^2``, the variance is exactly
+``(n S2 - S1^2) / (n^2 10^6)``, so a threshold comparison has no rounding.
+
+Nothing overflows for any frame size: ``0 <= Y' <= 255000`` and
+``|L'| <= 4 * 255000 < 2^20`` fit int32, ``L'^2 < 2^40``, and the sums are
+taken in int64 over runs of at most ``2^16`` values (each partial sum below
+``2^56``), then added as Python ints.
 """
 
 from __future__ import annotations
@@ -10,15 +24,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import MediaFormatError
-
-# ITU-R BT.601 luma weights.
-_LUMA_R, _LUMA_G, _LUMA_B = 0.299, 0.587, 0.114
 
 DEFAULT_FPS = 60.0
 DEFAULT_BLUR_THRESHOLD = 100.0
@@ -42,10 +54,6 @@ class Frame:
                 f"pixel payload is {len(self.pixels)} bytes, expected "
                 f"{3 * self.width * self.height} for {self.width}x{self.height}"
             )
-
-    def rgb(self) -> np.ndarray:
-        """Pixels as a (height, width, 3) uint8 array view."""
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width, 3)
 
 
 # One header integer after any whitespace and '#'-to-end-of-line comments; the
@@ -89,30 +97,70 @@ def encode_ppm(width: int, height: int, pixels: bytes) -> bytes:
     return b"P6\n%d %d\n255\n" % (width, height) + pixels
 
 
-def luma(frame: Frame) -> np.ndarray:
-    """BT.601 luma, (height, width) float64: 0.299 R + 0.587 G + 0.114 B."""
-    rgb = frame.rgb().astype(np.float64)
-    return _LUMA_R * rgb[:, :, 0] + _LUMA_G * rgb[:, :, 1] + _LUMA_B * rgb[:, :, 2]
+class LaplacianVarianceScorer:
+    """Exact Laplacian variance of frames, by the integer rule of the module docstring.
 
-
-def laplacian_variance(gray: np.ndarray) -> float:
-    """Population variance of the 4-neighbor Laplacian over interior pixels.
-
-    Kernel [[0,1,0],[1,-4,1],[0,1,0]]; border pixels are excluded rather
-    than padded.
+    The int32/int64 work buffers are kept between calls and reallocated only
+    when the frame shape changes, so a stream of same-shape frames allocates
+    nothing per frame. One caller at a time.
     """
-    if gray.ndim != 2 or gray.shape[0] < 3 or gray.shape[1] < 3:
-        raise ValueError(f"grid must be at least 3x3, got shape {gray.shape}")
-    g = gray.astype(np.float64, copy=False)
-    response = (
-        g[:-2, 1:-1] + g[2:, 1:-1] + g[1:-1, :-2] + g[1:-1, 2:] - 4.0 * g[1:-1, 1:-1]
-    )
-    return float(response.var())
+
+    _RUN = 1 << 16  # Laplacian values per int64 partial sum
+
+    def __init__(self) -> None:
+        self._shape: tuple[int, int] | None = None
+
+    def _resize(self, height: int, width: int) -> None:
+        if height < 3 or width < 3:
+            raise MediaFormatError(f"frame is {width}x{height}; the blur gate needs at least 3x3")
+        # The Laplacian is taken over whole rows 1..height-2 of the flattened
+        # luma; its first and last column wrap across rows and are zeroed.
+        count = (height - 2) * width
+        self._luma = np.empty(height * width, np.int32)
+        self._term = np.empty(height * width, np.int32)
+        self._laplacian = np.empty(count, np.int32)
+        # Whole runs of the int64 sums; the padding past ``count`` stays zero.
+        run = min(count, self._RUN)
+        self._wide = np.zeros((-(-count // run), run), np.int64)
+        self._partial = np.empty(len(self._wide), np.int64)
+        self._shape = (height, width)
+
+    def variance(self, frame: Frame) -> Fraction:
+        """The frame's Laplacian variance; MediaFormatError below 3x3."""
+        height, width = frame.height, frame.width
+        if self._shape != (height, width):
+            self._resize(height, width)
+        rgb = np.frombuffer(frame.pixels, dtype=np.uint8)
+        luma, term, lap = self._luma, self._term, self._laplacian
+        count = len(lap)
+        np.multiply(rgb[0::3], 299, out=luma, dtype=np.int32)
+        np.multiply(rgb[1::3], 587, out=term, dtype=np.int32)
+        luma += term
+        np.multiply(rgb[2::3], 114, out=term, dtype=np.int32)
+        luma += term
+        np.add(luma[:count], luma[2 * width :], out=lap)
+        lap += luma[width - 1 : width - 1 + count]
+        lap += luma[width + 1 : width + 1 + count]
+        centre = term[:count]
+        np.left_shift(luma[width : width + count], 2, out=centre)
+        lap -= centre
+        rows = lap.reshape(height - 2, width)
+        rows[:, 0] = 0
+        rows[:, -1] = 0
+        wide = self._wide
+        np.copyto(wide.reshape(-1)[:count], lap)
+        s1 = sum(np.einsum("ij->i", wide, out=self._partial).tolist())
+        s2 = sum(np.einsum("ij,ij->i", wide, wide, out=self._partial).tolist())
+        n = (height - 2) * (width - 2)
+        return Fraction(n * s2 - s1 * s1, n * n * 1_000_000)
 
 
 def heuristic_blur_gate(frame: Frame, threshold: float = DEFAULT_BLUR_THRESHOLD) -> bool:
-    """True (blurry) when the frame's Laplacian variance falls below ``threshold``."""
-    return laplacian_variance(luma(frame)) < threshold
+    """True (blurry) when the frame's Laplacian variance falls below ``threshold``.
+
+    One-shot form of ``HeuristicBlurGate``: it allocates its work buffers per call.
+    """
+    return LaplacianVarianceScorer().variance(frame) < threshold
 
 
 @dataclass(frozen=True)

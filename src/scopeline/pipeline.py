@@ -347,10 +347,16 @@ class Pipeline:
     ):
         self.config = config
         self.truth = dict(truth) if truth else {}
-        self.gate = build_gate(config.gate)
-        self.detector_a = build_detector(config.detector_a, SOURCE_A)
-        self.detector_b = build_detector(config.detector_b, SOURCE_B)
         self._pool: ThreadPoolExecutor | None = None
+        self.gate = self.detector_a = self.detector_b = None
+        try:
+            self.gate = build_gate(config.gate)
+            self.detector_a = build_detector(config.detector_a, SOURCE_A)
+            self.detector_b = build_detector(config.detector_b, SOURCE_B)
+        except BaseException:
+            # Close the backends already started, e.g. a gate and A when B cannot start.
+            self.close()
+            raise
         if config.execution == EXECUTION_PARALLEL:
             self._pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="detector")
 

@@ -10,7 +10,7 @@ import pytest
 
 from scopeline import cli
 from scopeline.datagen import DatasetSpec, write_dataset
-from scopeline.media import frame_filename
+from scopeline.media import MANIFEST_NAME, encode_ppm, frame_filename
 
 SPEC = DatasetSpec(videos=1, frames_per_video=8, polyps_per_video=1, blur_fraction=0.25, seed=3,
                    width=32, height=24, polyp_edge_range=(4, 12))
@@ -101,6 +101,27 @@ def test_corrupt_frame_fails_that_frame_only(tmp_path, dataset, capsys):
     assert "truncated raster" in rows[2]["error"]
     assert "1 failed" in capsys.readouterr().out
 
+
+def test_frames_under_3x3_fail_each_frame_not_the_run(tmp_path, capsys):
+    video = tmp_path / "tiny"
+    video.mkdir()
+    manifest = {"video_id": "tiny", "fps": 60.0, "width": 2, "height": 2, "frame_count": 3}
+    (video / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+    for i in range(3):
+        (video / frame_filename(i)).write_bytes(encode_ppm(2, 2, bytes(range(12))))
+    config_path = write_config(tmp_path / "config.json", CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path), "--input", str(video), "--output", str(out)]) == 0
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [row["frame_index"] for row in rows] == [0, 1, 2]
+    assert all("at least 3x3" in row["error"] for row in rows)
+    assert "3 failed" in capsys.readouterr().out
+
+
+def test_backend_that_cannot_start_leaves_no_tmp(tmp_path, dataset):
+    config = {**CONFIG, "detector_b": {"kind": "external", "command": [str(tmp_path / "absent-detector")]}}
+    assert run(tmp_path, dataset, config=config) == 1
+    assert list((tmp_path / "out").iterdir()) == []
 
 def tree_digest(root: Path) -> dict[str, str]:
     return {

@@ -1,26 +1,73 @@
-"""PPM codec, luma, Laplacian blur scoring, and frame streams."""
+"""PPM codec, the exact blur scorer against float and Fraction oracles, and frame streams."""
 
 from __future__ import annotations
 
 import json
+import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from scopeline.backends.base import HeuristicBlurGate
 from scopeline.errors import MediaFormatError
 from scopeline.media import (
     DirectoryFrameStream,
     Frame,
+    LaplacianVarianceScorer,
     MemoryFrameStream,
     decode_ppm,
     encode_ppm,
     heuristic_blur_gate,
-    laplacian_variance,
-    luma,
 )
 
 from conftest import checkerboard_frame, solid_frame
+
+
+def rgb(frame: Frame) -> np.ndarray:
+    """Pixels as a (height, width, 3) uint8 array."""
+    return np.frombuffer(frame.pixels, dtype=np.uint8).reshape(frame.height, frame.width, 3)
+
+
+def luma(frame: Frame) -> np.ndarray:
+    """Float oracle: BT.601 luma, (height, width) float64: 0.299 R + 0.587 G + 0.114 B."""
+    pixels = rgb(frame).astype(np.float64)
+    return 0.299 * pixels[:, :, 0] + 0.587 * pixels[:, :, 1] + 0.114 * pixels[:, :, 2]
+
+
+def laplacian_variance(gray: np.ndarray) -> float:
+    """Float oracle: population variance of the 4-neighbour Laplacian over interior pixels.
+
+    Kernel [[0,1,0],[1,-4,1],[0,1,0]]; border pixels are excluded rather
+    than padded.
+    """
+    if gray.ndim != 2 or gray.shape[0] < 3 or gray.shape[1] < 3:
+        raise ValueError(f"grid must be at least 3x3, got shape {gray.shape}")
+    g = gray.astype(np.float64, copy=False)
+    response = (
+        g[:-2, 1:-1] + g[2:, 1:-1] + g[1:-1, :-2] + g[1:-1, 2:] - 4.0 * g[1:-1, 1:-1]
+    )
+    return float(response.var())
+
+
+def fraction_laplacian_variance(frame: Frame) -> Fraction:
+    """Exact oracle: two-pass variance (mean, then mean squared deviation) of the
+    per-pixel Laplacians, in Python ints on luma scaled by 1000."""
+    gray = [[299 * r + 587 * g + 114 * b for r, g, b in row] for row in rgb(frame).tolist()]
+    responses = [
+        gray[y - 1][x] + gray[y + 1][x] + gray[y][x - 1] + gray[y][x + 1] - 4 * gray[y][x]
+        for y in range(1, frame.height - 1)
+        for x in range(1, frame.width - 1)
+    ]
+    n, total = len(responses), sum(responses)
+    # Laplacian r / 1000 has mean total / (1000 n); its squared deviation is (n r - total)^2 / (1000 n)^2.
+    return Fraction(sum((n * r - total) ** 2 for r in responses), n**3 * 1000**2)
+
+
+def random_frame(rng: np.random.Generator, width: int, height: int, index: int = 0) -> Frame:
+    return Frame(index, 0.0, width, height, rng.integers(0, 256, size=3 * width * height, dtype=np.uint8).tobytes())
 
 
 class TestPpmCodec:
@@ -158,6 +205,84 @@ class TestBlurGate:
             # Once blurry at some threshold, blurry at every higher threshold.
             first_blurry = verdicts.index(True) if True in verdicts else len(verdicts)
             assert all(verdicts[i] for i in range(first_blurry, len(verdicts)))
+
+
+def scorer_frames() -> list[Frame]:
+    """Random frames from 3x3 up, 3xN and Nx3 strips, and 0/255 checkerboards of maximal contrast."""
+    rng = np.random.default_rng(11)
+    frames = [random_frame(rng, int(rng.integers(3, 14)), int(rng.integers(3, 14)), i) for i in range(30)]
+    frames += [random_frame(rng, 3, 3), random_frame(rng, 3, 17), random_frame(rng, 17, 3)]
+    frames += [checkerboard_frame(w, h, tile=tile) for w, h, tile in ((3, 3, 1), (16, 16, 1), (15, 9, 1), (16, 12, 3))]
+    frames += [solid_frame((255, 255, 255), 5, 4), solid_frame((1, 2, 3), 3, 3)]
+    return frames
+
+
+def frame_id(frame: Frame) -> str:
+    return f"{frame.width}x{frame.height}"
+
+
+class TestExactScorer:
+    """``LaplacianVarianceScorer`` and ``HeuristicBlurGate`` against the float and Fraction oracles."""
+
+    @pytest.mark.parametrize("frame", scorer_frames(), ids=frame_id)
+    def test_equals_the_fraction_oracle_and_agrees_with_the_float_oracle(self, frame):
+        score = LaplacianVarianceScorer().variance(frame)
+        assert score == fraction_laplacian_variance(frame)
+        # The float oracle rounds ~n terms in float64; 1e-12 relative is far above its error.
+        assert float(score) == pytest.approx(laplacian_variance(luma(frame)), rel=1e-12, abs=1e-9)
+
+    def test_sums_span_several_int64_runs(self):
+        # 258 x 260 = 67,080 interior values: more than one 2^16-value partial sum.
+        rng = np.random.default_rng(3)
+        for frame in (random_frame(rng, 262, 260), checkerboard_frame(262, 260)):
+            assert LaplacianVarianceScorer().variance(frame) == fraction_laplacian_variance(frame)
+
+    @pytest.mark.parametrize("frame", scorer_frames(), ids=frame_id)
+    def test_verdict_is_exact_at_the_threshold_edge(self, frame):
+        exact = fraction_laplacian_variance(frame)
+        floated = laplacian_variance(luma(frame))
+        gate = HeuristicBlurGate()
+        for value in (float(exact), floated):
+            for threshold in (math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)):
+                gate.threshold = threshold
+                expected = exact < Fraction(threshold)
+                assert gate.is_blurry(frame) is expected
+                assert heuristic_blur_gate(frame, threshold) is expected
+        # Not vacuous: just above the exact variance the frame is blurry.
+        gate.threshold = math.nextafter(float(exact), math.inf)
+        assert gate.is_blurry(frame) is True
+
+    def test_one_scorer_alternating_between_two_shapes(self):
+        rng = np.random.default_rng(5)
+        frames = [random_frame(rng, *shape, index=i) for i, shape in enumerate([(9, 7), (4, 11)] * 3)]
+        scorer = LaplacianVarianceScorer()
+        for frame in frames:
+            assert scorer.variance(frame) == fraction_laplacian_variance(frame)
+
+    def test_same_shape_frames_reuse_the_work_buffers(self):
+        rng = np.random.default_rng(9)
+        first, second = (random_frame(rng, 384, 288, i) for i in range(2))
+        gate = HeuristicBlurGate()
+        tracemalloc.start()
+        try:
+            gate.is_blurry(first)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gate.is_blurry(second)
+            _, second_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The first call allocates the buffers, so tracing does see NumPy's allocations.
+        assert held > 1 << 20
+        assert second_peak - held < 64 << 10
+
+    @pytest.mark.parametrize("width, height", [(2, 2), (1, 1), (2, 5), (5, 2)])
+    def test_frames_under_3x3_are_a_media_format_error(self, width, height):
+        frame = solid_frame((9, 9, 9), width=width, height=height)
+        with pytest.raises(MediaFormatError, match="at least 3x3"):
+            HeuristicBlurGate().is_blurry(frame)
+        with pytest.raises(MediaFormatError, match="at least 3x3"):
+            heuristic_blur_gate(frame)
 
 
 class TestFrameInvariants:

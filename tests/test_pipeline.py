@@ -13,7 +13,7 @@ from time import perf_counter
 
 import pytest
 
-from scopeline import cli
+from scopeline import cli, pipeline as pipeline_module
 from scopeline.annotations import FrameAnnotation, LabeledBox, annotations_by_frame, load_annotations
 from scopeline.backends.synthetic import SyntheticDetectorConfig, synthetic_detect
 from scopeline.datagen import DatasetSpec, FramePlan, plan_video, render_frame, write_dataset
@@ -21,6 +21,7 @@ from scopeline.ensemble import EnsembleConfig
 from scopeline.errors import BackendError
 from scopeline.geometry import BoundingBox, short_edge_ratio
 from scopeline.media import DirectoryFrameStream, MemoryFrameStream
+from scopeline.backends.external import SubprocessTransport
 from scopeline.pipeline import GateConfig, Pipeline, PipelineConfig
 
 # Polyp edges of 10-14 px straddle the size-aware threshold of 0.1 x 120 = 12 px,
@@ -223,6 +224,26 @@ def test_parallel_failure_waits_for_the_other_detector():
     assert slow.calls == 20
     assert slow.max_in_flight == 1
 
+
+def test_failed_build_closes_the_backends_already_started(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingTransport(SubprocessTransport):
+        def __init__(self, command):
+            super().__init__(command)
+            started.append(self)
+
+    monkeypatch.setattr(pipeline_module, "SubprocessTransport", RecordingTransport)
+    config = PipelineConfig.from_dict({
+        "gate": {"kind": "external", "external": {"command": STUB}},
+        "detector_a": {"kind": "external", "command": STUB},
+        "detector_b": {"kind": "external", "command": [str(tmp_path / "absent-detector")]},
+    })
+    with pytest.raises(BackendError, match="cannot start"):
+        Pipeline(config)
+    assert len(started) == 2
+    # Both stub children were reaped: close() waited for them.
+    assert all(transport._proc.returncode is not None for transport in started)
 
 def test_manifest_replay_reproduces_results_and_fps(tmp_path):
     [video_dir] = write_dataset(SPEC, tmp_path / "dataset")

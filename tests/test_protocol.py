@@ -158,25 +158,29 @@ class TestClientResetRule:
     FRAME = solid_frame((0, 0, 0), width=8, height=8, index=7)
 
     @pytest.mark.parametrize(
-        "adapter, reply, error",
+        "adapter, frame_index, reply, error",
         [
-            (detect_call, protocol.encode_message(protocol.encode_detections(8, [])), DesyncError),
-            (blur_call, protocol.encode_message({"type": "blur_verdict", "blurry": True}), DesyncError),
-            (detect_call, struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1), BackendError),
-            (detect_call, struct.pack(">I", 2) + b"[]", BackendError),
-            (blur_call, b"\x00\x00", BackendError),
+            (detect_call, 7, protocol.encode_message(protocol.encode_detections(8, [])), DesyncError),
+            (blur_call, 7, protocol.encode_message({"type": "blur_verdict", "blurry": True}), DesyncError),
+            (detect_call, 1, protocol.encode_message(protocol.encode_detections(True, [])), DesyncError),
+            (blur_call, 7, protocol.encode_message(protocol.encode_blur_verdict(7.0, False)), DesyncError),
+            (detect_call, 7, struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1), BackendError),
+            (detect_call, 7, struct.pack(">I", 2) + b"[]", BackendError),
+            (blur_call, 7, b"\x00\x00", BackendError),
         ],
-        ids=["wrong-echo", "missing-blur-echo", "oversized-length", "non-object-body", "torn-header"],
+        ids=["wrong-echo", "missing-blur-echo", "bool-echo", "float-echo", "oversized-length",
+             "non-object-body", "torn-header"],
     )
-    def test_fault_closes_the_transport(self, adapter, reply, error):
+    def test_fault_closes_the_transport(self, adapter, frame_index, reply, error):
+        frame = solid_frame((0, 0, 0), width=8, height=8, index=frame_index)
         # A well-formed reply queued behind the fault must never be read.
-        transport = FakeTransport(reply + protocol.encode_message(protocol.encode_detections(7, [])))
+        transport = FakeTransport(reply + protocol.encode_message(protocol.encode_detections(frame_index, [])))
         call = adapter(ExternalClient(transport))
         with pytest.raises(error):
-            call(self.FRAME)
+            call(frame)
         assert transport.closed
         with pytest.raises(BackendError, match="closed"):
-            call(self.FRAME)
+            call(frame)
 
     def test_matching_echo_keeps_the_connection(self):
         replies = [protocol.encode_detections(7, []), protocol.encode_blur_verdict(7, False)]
