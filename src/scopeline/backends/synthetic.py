@@ -25,6 +25,10 @@ from ..rng import SplitMix64, frame_seed
 
 # False positives are log-uniform between this edge and half the image short edge.
 FP_MIN_EDGE_PX = 8
+# Largest mean false-positive count per frame. Poisson inversion starts from
+# exp(-fp_rate), a normal double up to here (exp(-100) ~ 3.7e-44) and 0 from
+# about 745 on, where every draw would return the inversion's 1,000,000 cap.
+MAX_FP_RATE = 100.0
 
 
 def _check_range(name: str, rng: tuple[float, float]) -> None:
@@ -48,8 +52,8 @@ class SyntheticDetectorConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_tp <= 1.0:
             raise ConfigError(f"p_tp must lie in [0, 1], got {self.p_tp}")
-        if self.fp_rate < 0.0:
-            raise ConfigError(f"fp_rate must be non-negative, got {self.fp_rate}")
+        if not 0.0 <= self.fp_rate <= MAX_FP_RATE:
+            raise ConfigError(f"fp_rate must lie in [0, {MAX_FP_RATE:g}], got {self.fp_rate}")
         if self.jitter_px < 0.0:
             raise ConfigError(f"jitter_px must be non-negative, got {self.jitter_px}")
         _check_range("tp_score_range", self.tp_score_range)

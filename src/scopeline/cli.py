@@ -1,4 +1,4 @@
-"""Operator entry point: run pipelines, evaluate results, benchmark, generate fixtures.
+"""Operator entry point: run pipelines, evaluate results, generate fixtures.
 
 Exit codes: 0 success, 1 any other scopeline error (such as a backend that
 cannot start), 2 configuration error, 3 input-data error. Output files are
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +22,6 @@ from typing import Callable, Sequence
 from . import __version__
 from .annotations import annotations_by_frame, load_annotations
 from .backends.synthetic import SyntheticDetectorConfig
-from .bench import BenchSpec, DEFAULT_PROFILE, format_bench_table, run_bench
 from .datagen import DatasetSpec, write_dataset
 from .ensemble import MODE_AND, MODE_SIZE_AWARE
 from .errors import ConfigError, DataFormatError, MediaFormatError, ScopelineError
@@ -37,7 +37,7 @@ from .evaluation import (
     write_metrics_json,
     write_recall_curve_csv,
 )
-from .media import DirectoryFrameStream
+from .media import DirectoryFrameStream, StreamInfo
 from .pipeline import (
     EXECUTION_PARALLEL,
     EXECUTION_SEQUENTIAL,
@@ -189,9 +189,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "seeds": _seed_registry(config),
     }
     _atomic_write_json(out / MANIFEST_NAME, manifest)
-    _atomic_write_json(out / LATENCY_REPORT_NAME, summary.latency.to_dict())
+    _atomic_write_json(out / LATENCY_REPORT_NAME, summary.latency)
 
-    fps = summary.latency.throughput_fps
+    fps = summary.latency["throughput_fps"]
     fps_text = f", accounted throughput {fps:.2f} fps" if fps else ""
     print(
         f"processed {summary.frames} frames ({summary.blurry_frames} blurry, "
@@ -210,7 +210,18 @@ def _results_source(entry: str) -> tuple[Path, Path | None]:
     return path, manifest if manifest.is_file() else None
 
 
+def _recorded_stream(manifest_path: Path) -> StreamInfo:
+    """The input stream a run manifest records; MediaFormatError if it records none."""
+    manifest = _load_json(manifest_path, "run manifest")
+    try:
+        return StreamInfo.from_dict(manifest["input"])
+    except (KeyError, TypeError, MediaFormatError) as exc:
+        raise MediaFormatError(f"run manifest {manifest_path} records no valid input stream: {exc}") from exc
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    if not 0.0 < args.fps < math.inf:
+        raise ConfigError(f"--fps must be positive and finite, got {args.fps}")
     match_cfg = MatchConfig(criterion=args.match, iou_match_threshold=args.match_threshold)
     annotations = load_annotations(Path(args.annotations))
 
@@ -221,10 +232,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataFormatError(f"results file not found: {results_path}")
         results = load_results(results_path)
         if manifest_path is not None:
-            info = _load_json(manifest_path, "run manifest").get("input", {})
-            video_id = info.get("video_id", f"run-{index:03d}")
-            fps = float(info.get("fps", args.fps))
-            frame_count = int(info.get("frame_count", 0))
+            info = _recorded_stream(manifest_path)
+            video_id, fps, frame_count = info.video_id, info.fps, info.frame_count
         else:
             video_id = results_path.parent.name or f"run-{index:03d}"
             fps = args.fps
@@ -265,39 +274,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"precision={fmt(metrics.precision)} recall={fmt(metrics.recall)} "
         f"f1={fmt(metrics.f1)} f2={fmt(metrics.f2)}"
     )
-    return 0
-
-
-def _parse_profile(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"profile must be gate,detectorA,detectorB in ms, got {text!r}")
-    try:
-        gate, det_a, det_b = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"profile must be numeric, got {text!r}") from exc
-    return gate, det_a, det_b
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    spec = BenchSpec(
-        frames=args.frames,
-        width=args.width,
-        height=args.height,
-        blur_fraction=args.blur_fraction,
-        seed=args.seed,
-        profile=_parse_profile(args.profile),
-    )
-    modes = (
-        (EXECUTION_SEQUENTIAL, EXECUTION_PARALLEL)
-        if args.mode == "both"
-        else (args.mode,)
-    )
-    report = run_bench(spec, modes)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_bench_table(report))
     return 0
 
 
@@ -357,18 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fps", type=float, default=60.0, help="fps fallback when no run manifest is present")
     ev.add_argument("--merge-window", type=int, default=DEFAULT_FP_MERGE_WINDOW_FRAMES)
     ev.set_defaults(func=cmd_eval)
-
-    bench = sub.add_parser("bench", help="benchmark accounted latency with simulated stage costs")
-    bench.add_argument("--frames", type=int, default=240)
-    bench.add_argument("--width", type=int, default=160)
-    bench.add_argument("--height", type=int, default=120)
-    bench.add_argument("--blur-fraction", type=float, default=0.0)
-    bench.add_argument("--profile", default=",".join(str(c) for c in DEFAULT_PROFILE),
-                       help="gate,detectorA,detectorB simulated costs in ms")
-    bench.add_argument("--mode", choices=[EXECUTION_SEQUENTIAL, EXECUTION_PARALLEL, "both"], default="both")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--json", action="store_true", help="emit the report as JSON")
-    bench.set_defaults(func=cmd_bench)
 
     gen = sub.add_parser("gen-synthetic", help="generate a deterministic synthetic dataset")
     gen.add_argument("--out", required=True)

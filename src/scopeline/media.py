@@ -22,17 +22,16 @@ taken in int64 over runs of at most ``2^16`` values (each partial sum below
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import MediaFormatError
 
-DEFAULT_FPS = 60.0
 DEFAULT_BLUR_THRESHOLD = 100.0
 
 MANIFEST_NAME = "manifest.json"
@@ -173,6 +172,10 @@ class StreamInfo:
     height: int
     frame_count: int
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.fps < math.inf:
+            raise MediaFormatError(f"stream fps must be positive and finite, got {self.fps}")
+
     def to_dict(self) -> dict:
         return {
             "video_id": self.video_id,
@@ -217,10 +220,8 @@ class DirectoryFrameStream:
             raise MediaFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
         info = StreamInfo.from_dict(raw)
         if fps_override is not None:
-            info = StreamInfo(info.video_id, fps_override, info.width, info.height, info.frame_count)
+            info = replace(info, fps=fps_override)
         self.info = info
-        if self.info.fps <= 0:
-            raise MediaFormatError(f"{manifest_path}: fps must be positive")
 
     @property
     def video_id(self) -> str:
@@ -250,19 +251,3 @@ class DirectoryFrameStream:
                 f"{self.info.width}x{self.info.height}"
             )
         return Frame(frame_index, frame_index * 1000.0 / self.info.fps, width, height, pixels)
-
-
-class MemoryFrameStream:
-    """In-memory stream over pre-built frames; used by benches and tests."""
-
-    def __init__(self, frames: Sequence[Frame], fps: float = DEFAULT_FPS, video_id: str = "memory"):
-        self._frames = list(frames)
-        self.fps = fps
-        self.video_id = video_id
-
-    @property
-    def frame_count(self) -> int:
-        return len(self._frames)
-
-    def read_frame(self, frame_index: int) -> Frame:
-        return self._frames[frame_index]

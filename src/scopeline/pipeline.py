@@ -140,8 +140,8 @@ def _config_to_dict(config) -> dict:
 def _config_from_json(value_type, raw, where: str):
     """Inverse of :func:`_config_to_dict` for a value of ``value_type``.
 
-    An absent key takes the field default. Every malformed input raises
-    ConfigError naming where it is.
+    An absent key takes the field default. Every malformed input, a NaN or
+    infinite float included, raises ConfigError naming where it is.
     """
     if value_type == DetectorSpec:
         if not isinstance(raw, Mapping) or "kind" not in raw:
@@ -176,9 +176,12 @@ def _config_from_json(value_type, raw, where: str):
             raise ConfigError(f"{where} must hold {len(item_types)} values, got {raw!r}")
         return tuple(_config_from_json(t, item, where) for t, item in zip(item_types, raw))
     try:
-        return value_type(raw)
+        value = value_type(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if value_type is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -192,55 +195,35 @@ class PipelineResult:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class StageStats:
-    mean: float
-    p50: float
-    p95: float
-    max: float
-    count: int
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "p50": self.p50, "p95": self.p95, "max": self.max, "count": self.count}
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    """Per-stage latency statistics plus accounted throughput for a run."""
-
-    stages: dict[str, StageStats]
-    throughput_fps: float | None
-    frames: int
-
-    def to_dict(self) -> dict:
-        return {
-            "frames": self.frames,
-            "throughput_fps": self.throughput_fps,
-            "stages": {name: stats.to_dict() for name, stats in sorted(self.stages.items())},
-        }
-
-
 def _nearest_rank(sorted_values: Sequence[float], fraction: float) -> float:
     rank = math.ceil(fraction * len(sorted_values))
     return sorted_values[min(max(rank, 1), len(sorted_values)) - 1]
 
 
-def build_latency_report(samples: Mapping[str, Sequence[float]], frames: int) -> LatencyReport:
+def latency_report(samples: Mapping[str, Sequence[float]], frames: int) -> dict:
+    """The ``latency_report.json`` document for a run's per-stage samples (ms).
+
+    Each stage with samples, in name order, gets its mean, nearest-rank p50
+    and p95, max and count. ``throughput_fps`` is the accounted throughput
+    ``1000 n / sum(total_wall)``, or None when no frame has a total.
+    """
     stages = {}
-    for name, values in samples.items():
-        if not values:
-            continue
-        ordered = sorted(values)
-        stages[name] = StageStats(
-            mean=sum(ordered) / len(ordered),
-            p50=_nearest_rank(ordered, 0.50),
-            p95=_nearest_rank(ordered, 0.95),
-            max=ordered[-1],
-            count=len(ordered),
-        )
+    for name in sorted(samples):
+        ordered = sorted(samples[name])
+        if ordered:
+            stages[name] = {
+                "mean": sum(ordered) / len(ordered),
+                "p50": _nearest_rank(ordered, 0.50),
+                "p95": _nearest_rank(ordered, 0.95),
+                "max": ordered[-1],
+                "count": len(ordered),
+            }
     totals = samples.get(STAGE_TOTAL, ())
-    throughput = 1000.0 * len(totals) / sum(totals) if totals else None
-    return LatencyReport(stages=stages, throughput_fps=throughput, frames=frames)
+    return {
+        "frames": frames,
+        "throughput_fps": 1000.0 * len(totals) / sum(totals) if totals else None,
+        "stages": stages,
+    }
 
 
 @dataclass(frozen=True)
@@ -248,7 +231,7 @@ class RunSummary:
     frames: int
     blurry_frames: int
     failed_frames: int
-    latency: LatencyReport
+    latency: dict  # the latency_report.json document
 
 
 def _connect(spec: ExternalBackendSpec) -> ExternalClient:
@@ -432,8 +415,7 @@ class Pipeline:
             for stage, value in result.stage_latencies.items():
                 samples.setdefault(stage, []).append(value)
             sink(result)
-        report = build_latency_report(samples, frames)
-        return RunSummary(frames, blurry_frames, failed_frames, report)
+        return RunSummary(frames, blurry_frames, failed_frames, latency_report(samples, frames))
 
 
 def result_to_dict(result: PipelineResult) -> dict:

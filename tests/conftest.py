@@ -44,3 +44,17 @@ def checkerboard_frame(width: int = 8, height: int = 8, index: int = 0, tile: in
             v = 255 if (x // tile + y // tile) % 2 else 0
             pixels += bytes((v, v, v))
     return Frame(index, 0.0, width, height, bytes(pixels))
+
+
+class MemoryFrameStream:
+    """A stream over pre-built frames: the ``frame_count`` and ``read_frame`` a pipeline reads."""
+
+    def __init__(self, frames: list[Frame]):
+        self._frames = list(frames)
+
+    @property
+    def frame_count(self) -> int:
+        return len(self._frames)
+
+    def read_frame(self, frame_index: int) -> Frame:
+        return self._frames[frame_index]

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -122,6 +126,110 @@ def test_backend_that_cannot_start_leaves_no_tmp(tmp_path, dataset):
     config = {**CONFIG, "detector_b": {"kind": "external", "command": [str(tmp_path / "absent-detector")]}}
     assert run(tmp_path, dataset, config=config) == 1
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def read_rows(out: Path) -> list[dict]:
+    return [json.loads(line) for line in (out / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+def read_report(out: Path) -> dict:
+    return json.loads((out / "latency_report.json").read_text(encoding="utf-8"))
+
+
+def test_latency_report_counts_the_frames_that_did_not_fail(tmp_path, dataset):
+    (dataset / "videos" / "video-000" / frame_filename(5)).write_bytes(b"P6\n32 24\n255\n")
+    assert run(tmp_path, dataset) == 0
+    report = read_report(tmp_path / "out")
+    assert report["frames"] == SPEC.frames_per_video
+    assert report["stages"]["total_wall"]["count"] == sum(row["error"] is None for row in read_rows(tmp_path / "out")) == 7
+
+
+def test_latency_report_carries_the_charged_costs(tmp_path, dataset):
+    config = {
+        "gate": {"simulated_latency_ms": 3.0},
+        "detector_a": {"kind": "synthetic", "seed": 1, "simulated_latency_ms": 20.0},
+        "detector_b": {"kind": "synthetic", "seed": 2, "simulated_latency_ms": 20.0},
+    }
+    start = time.perf_counter()
+    assert run(tmp_path, dataset, config=config) == 0
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    stages = read_report(tmp_path / "out")["stages"]
+    clear = sum(not row["blurry"] for row in read_rows(tmp_path / "out"))
+    assert 0 < clear < SPEC.frames_per_video
+    assert stages["gate"]["count"] == SPEC.frames_per_video
+    assert stages["detector_a"]["count"] == stages["detector_b"]["count"] == clear
+    # Most frames are clear, so even the median total is charged all three stages.
+    for name, charged in (("gate", 3.0), ("detector_a", 20.0), ("detector_b", 20.0), ("total_wall", 43.0)):
+        assert charged <= stages[name]["p50"] <= stages[name]["max"] < charged + elapsed_ms, name
+
+
+def write_manifest(run_dir: Path, edit) -> None:
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(edit(manifest)), encoding="utf-8")
+
+
+def set_input(key, value):
+    def edit(manifest):
+        manifest["input"][key] = value
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        set_input("fps", "fast"),
+        set_input("fps", 0),
+        set_input("frame_count", "many"),
+        lambda manifest: {k: v for k, v in manifest.items() if k != "input"},
+        lambda manifest: {**manifest, "input": [manifest["input"]]},
+        lambda manifest: [manifest],
+    ],
+    ids=["non-numeric-fps", "zero-fps", "non-numeric-frame-count", "no-input", "input-not-an-object",
+         "not-an-object"],
+)
+def test_eval_of_a_bad_run_manifest_exits_3(tmp_path, dataset, edit):
+    assert run(tmp_path, dataset) == 0
+    write_manifest(tmp_path / "out", edit)
+    metrics = tmp_path / "metrics"
+    code = cli.main(["eval", "--results", str(tmp_path / "out"),
+                     "--annotations", str(dataset / "annotations.jsonl"), "--output", str(metrics)])
+    assert code == 3
+    assert not metrics.exists()
+
+
+def test_eval_rejects_a_non_positive_fps_fallback(tmp_path, dataset):
+    assert run(tmp_path, dataset) == 0
+    (tmp_path / "out" / "manifest.json").unlink()
+    metrics = tmp_path / "metrics"
+    code = cli.main(["eval", "--results", str(tmp_path / "out"), "--fps", "0",
+                     "--annotations", str(dataset / "annotations.jsonl"), "--output", str(metrics)])
+    assert code == 2
+    assert not metrics.exists()
+
+
+def test_bench_is_not_a_command(capsys):
+    assert cli.main(["bench"]) == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def scopeline(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "scopeline", *args], capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_lists_exactly_the_commands():
+    done = scopeline("--help")
+    assert done.returncode == 0
+    commands = re.search(r"\{([^}]*)\}", done.stdout).group(1)
+    assert commands.split(",") == ["run", "eval", "gen-synthetic"]
+
+
+def test_module_entry_point_prints_the_version():
+    done = scopeline("--version")
+    assert done.returncode == 0
+    assert done.stdout == "scopeline 0.1.0\n"
+
 
 def tree_digest(root: Path) -> dict[str, str]:
     return {

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 
 import pytest
 
-from scopeline.backends.synthetic import SyntheticDetectorConfig
+from scopeline.backends.synthetic import MAX_FP_RATE, SyntheticDetectorConfig
 from scopeline.ensemble import EnsembleConfig
 from scopeline.errors import ConfigError
 from scopeline.pipeline import ExternalBackendSpec, GateConfig, PipelineConfig
@@ -167,6 +168,19 @@ REJECTED = {
     "bad gate kind": edit("gate.kind", "oracle"),
     "bad ensemble mode": edit("ensemble.mode", "or"),
     "bad execution": edit("execution", "distributed"),
+    "NaN gate threshold": edit("gate.threshold", float("nan")),
+    "infinite gate threshold": edit("gate.threshold", float("-inf")),
+    "NaN gate simulated latency": edit("gate.simulated_latency_ms", float("nan")),
+    "infinite gate simulated latency": edit("gate.simulated_latency_ms", float("inf")),
+    "NaN fp_rate": edit("detector_a.fp_rate", float("nan")),
+    "infinite fp_rate": edit("detector_a.fp_rate", float("inf")),
+    "fp_rate past its bound": edit("detector_a.fp_rate", 800),
+    "NaN jitter_px": edit("detector_a.jitter_px", float("nan")),
+    "infinite jitter_px": edit("detector_a.jitter_px", float("inf")),
+    "NaN detector simulated latency": edit("detector_a.simulated_latency_ms", float("nan")),
+    "infinite detector simulated latency": edit("detector_a.simulated_latency_ms", float("inf")),
+    "NaN spelled as a string": edit("gate.threshold", "nan"),
+    "float overflowing to infinity": edit("gate.threshold", "1e400"),
 }
 
 
@@ -178,3 +192,16 @@ def test_invalid_config_raises_config_error(raw):
 
 def test_valid_base_loads():
     PipelineConfig.from_dict(VALID)
+
+
+def test_non_finite_numbers_from_json_text_are_rejected():
+    # Python's json module parses NaN and Infinity, so a config file can hold them.
+    text = json.dumps(edit("gate.threshold", float("nan")))
+    assert "NaN" in text
+    with pytest.raises(ConfigError, match=r"config\.gate\.threshold must be a finite number"):
+        PipelineConfig.from_dict(json.loads(text))
+
+
+def test_fp_rate_at_its_bound_loads():
+    config = PipelineConfig.from_dict(edit("detector_a.fp_rate", MAX_FP_RATE))
+    assert config.detector_a.fp_rate == MAX_FP_RATE

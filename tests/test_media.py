@@ -17,7 +17,6 @@ from scopeline.media import (
     DirectoryFrameStream,
     Frame,
     LaplacianVarianceScorer,
-    MemoryFrameStream,
     decode_ppm,
     encode_ppm,
     heuristic_blur_gate,
@@ -337,11 +336,3 @@ class TestDirectoryFrameStream:
         (tmp_path / "000000.ppm").write_bytes(encode_ppm(2, 2, bytes(12)))
         with pytest.raises(MediaFormatError, match="manifest declares"):
             DirectoryFrameStream(tmp_path).read_frame(0)
-
-
-def test_memory_stream_round_trip():
-    frames = [solid_frame((9, 9, 9), index=i) for i in range(3)]
-    stream = MemoryFrameStream(frames, fps=30.0)
-    assert stream.frame_count == 3
-    assert stream.read_frame(1) is frames[1]
-    assert [stream.read_frame(i) for i in range(stream.frame_count)] == frames

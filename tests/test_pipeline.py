@@ -20,9 +20,11 @@ from scopeline.datagen import DatasetSpec, FramePlan, plan_video, render_frame, 
 from scopeline.ensemble import EnsembleConfig
 from scopeline.errors import BackendError
 from scopeline.geometry import BoundingBox, short_edge_ratio
-from scopeline.media import DirectoryFrameStream, MemoryFrameStream
+from scopeline.media import DirectoryFrameStream
 from scopeline.backends.external import SubprocessTransport
 from scopeline.pipeline import GateConfig, Pipeline, PipelineConfig
+
+from conftest import MemoryFrameStream
 
 # Polyp edges of 10-14 px straddle the size-aware threshold of 0.1 x 120 = 12 px,
 # so detector A's jitter decides frame by frame whether B runs.

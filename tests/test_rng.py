@@ -7,6 +7,7 @@ import statistics
 
 import pytest
 
+from scopeline.backends.synthetic import MAX_FP_RATE
 from scopeline.rng import GOLDEN_GAMMA, MASK64, SplitMix64, frame_seed
 
 # Reference outputs for SplitMix64 seeded with 1234567: first three values of
@@ -70,6 +71,14 @@ def test_poisson_moments_and_edge_cases():
     assert rng.poisson(0.0) == 0
     with pytest.raises(ValueError):
         rng.poisson(-1.0)
+
+
+def test_poisson_at_the_fp_rate_bound_inverts_to_its_tail():
+    # The largest uniform below 1 still ends the inversion near the mean,
+    # well short of the 1,000,000 cap that an underflowed exp(-mean) reaches.
+    rng = SplitMix64(0)
+    rng.next_float = lambda: math.nextafter(1.0, 0.0)
+    assert MAX_FP_RATE < rng.poisson(MAX_FP_RATE) < 2 * MAX_FP_RATE
 
 
 def test_poisson_one_draw_per_sample():
