@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import DataFormatError
-from .geometry import LABEL_INSTRUMENT, LABEL_POLYP, BoundingBox
+from .geometry import LABEL_INSTRUMENT, LABEL_POLYP, BoundingBox, box_from_dict, box_to_dict, json_field
 
 _KNOWN_LABELS = (LABEL_POLYP, LABEL_INSTRUMENT)
 
@@ -46,23 +46,14 @@ def annotation_to_dict(annotation: FrameAnnotation) -> dict:
     return {
         "video_id": annotation.video_id,
         "frame_index": annotation.frame_index,
-        "boxes": [
-            {"x": lb.box.x, "y": lb.box.y, "w": lb.box.w, "h": lb.box.h, "label": lb.label}
-            for lb in annotation.boxes
-        ],
+        "boxes": [box_to_dict(lb.box, label=lb.label) for lb in annotation.boxes],
     }
 
 
 def annotation_from_dict(row: Mapping) -> FrameAnnotation:
     try:
-        boxes = tuple(
-            LabeledBox(
-                BoundingBox(int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"])),
-                str(b.get("label", LABEL_POLYP)),
-            )
-            for b in row["boxes"]
-        )
-        return FrameAnnotation(str(row["video_id"]), int(row["frame_index"]), boxes)
+        boxes = tuple(LabeledBox(box_from_dict(b), str(b.get("label", LABEL_POLYP))) for b in row["boxes"])
+        return FrameAnnotation(str(row["video_id"]), json_field(row, "frame_index", int), boxes)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad annotation row: {exc}") from exc
 

@@ -2,25 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
-from ..annotations import FrameAnnotation
 from ..geometry import ScoredBox
 from ..media import DEFAULT_BLUR_THRESHOLD, Frame, LaplacianVarianceScorer
 
 
-@runtime_checkable
 class DetectorBackend(Protocol):
     """One polyp detector slot.
 
-    ``detect`` must be deterministic for a fixed backend state and frame.
-    ``truth`` is consumed by synthetic backends and ignored by real ones.
+    ``detect`` sees only the frame, as a real detector does, and must be
+    deterministic for a fixed backend state and frame. A simulated detector
+    that needs ground truth is given it when it is built.
     """
 
-    def detect(self, frame: Frame, truth: FrameAnnotation | None = None) -> list[ScoredBox]: ...
+    def detect(self, frame: Frame) -> list[ScoredBox]: ...
 
 
-@runtime_checkable
 class BlurGate(Protocol):
     """Frame-level blur verdict; True means drop the frame before detection."""
 

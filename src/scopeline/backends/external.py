@@ -15,7 +15,6 @@ import socket
 import subprocess
 from typing import BinaryIO, Sequence
 
-from ..annotations import FrameAnnotation
 from ..errors import BackendError, DesyncError, ProtocolError
 from ..geometry import ScoredBox
 from ..media import Frame
@@ -115,7 +114,7 @@ class ExternalDetectorBackend:
         self.client = client
         self.source = source
 
-    def detect(self, frame: Frame, truth: FrameAnnotation | None = None) -> list[ScoredBox]:
+    def detect(self, frame: Frame) -> list[ScoredBox]:
         response = self.client.request(protocol.encode_detect_request(frame))
         return protocol.decode_detections(response, self.source, frame.width, frame.height)
 

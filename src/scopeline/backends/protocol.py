@@ -26,7 +26,7 @@ import struct
 from typing import BinaryIO, Sequence
 
 from ..errors import DataFormatError, ProtocolError
-from ..geometry import BoundingBox, ScoredBox
+from ..geometry import ScoredBox, box_from_dict, box_to_dict
 from ..media import Frame
 
 HEADER_SIZE = 4
@@ -115,10 +115,7 @@ def encode_detections(frame_index: int, boxes: Sequence[ScoredBox]) -> dict:
     return {
         "type": TYPE_DETECTIONS,
         "frame_index": frame_index,
-        "boxes": [
-            {"x": sb.box.x, "y": sb.box.y, "w": sb.box.w, "h": sb.box.h, "score": sb.score}
-            for sb in boxes
-        ],
+        "boxes": [box_to_dict(sb.box, score=sb.score) for sb in boxes],
     }
 
 
@@ -136,7 +133,7 @@ def decode_detections(body: dict, source: str, image_w: int, image_h: int) -> li
     boxes = []
     for i, entry in enumerate(raw):
         try:
-            box = BoundingBox(int(entry["x"]), int(entry["y"]), int(entry["w"]), int(entry["h"]))
+            box = box_from_dict(entry)
             scored = ScoredBox(box, float(entry["score"]), source)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"invalid box at index {i}: {exc}") from exc

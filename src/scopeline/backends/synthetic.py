@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..annotations import FrameAnnotation
 from ..errors import ConfigError
@@ -27,8 +28,12 @@ from ..rng import SplitMix64, frame_seed
 FP_MIN_EDGE_PX = 8
 # Largest mean false-positive count per frame. Poisson inversion starts from
 # exp(-fp_rate), a normal double up to here (exp(-100) ~ 3.7e-44) and 0 from
-# about 745 on, where every draw would return the inversion's 1,000,000 cap.
+# about 745 on, where the inversion no longer samples the distribution.
 MAX_FP_RATE = 100.0
+# Largest corner-jitter standard deviation, in pixels. It is far beyond any
+# frame, since jittered boxes are clamped into the image anyway, and keeps
+# round(gaussian() * jitter_px) finite: |gaussian()| < 8.3 for every draw.
+MAX_JITTER_PX = 1e6
 
 
 def _check_range(name: str, rng: tuple[float, float]) -> None:
@@ -54,8 +59,8 @@ class SyntheticDetectorConfig:
             raise ConfigError(f"p_tp must lie in [0, 1], got {self.p_tp}")
         if not 0.0 <= self.fp_rate <= MAX_FP_RATE:
             raise ConfigError(f"fp_rate must lie in [0, {MAX_FP_RATE:g}], got {self.fp_rate}")
-        if self.jitter_px < 0.0:
-            raise ConfigError(f"jitter_px must be non-negative, got {self.jitter_px}")
+        if not 0.0 <= self.jitter_px <= MAX_JITTER_PX:
+            raise ConfigError(f"jitter_px must lie in [0, {MAX_JITTER_PX:g}], got {self.jitter_px}")
         _check_range("tp_score_range", self.tp_score_range)
         _check_range("fp_score_range", self.fp_score_range)
         if self.simulated_latency_ms < 0.0:
@@ -116,13 +121,16 @@ def synthetic_detect(
 
 
 class SyntheticDetector:
-    """DetectorBackend over :func:`synthetic_detect`."""
+    """DetectorBackend over :func:`synthetic_detect`, standing in for a trained detector.
 
-    def __init__(self, config: SyntheticDetectorConfig, source: str = SOURCE_A):
+    It alone holds the run's ground truth, ``truth`` (frame index to annotation).
+    """
+
+    def __init__(self, config: SyntheticDetectorConfig, source: str, truth: Mapping[int, FrameAnnotation]):
         self.config = config
         self.source = source
+        self.truth = truth
 
-    def detect(self, frame: Frame, truth: FrameAnnotation | None = None) -> list[ScoredBox]:
-        return synthetic_detect(
-            self.config, frame.frame_index, truth, frame.width, frame.height, self.source
-        )
+    def detect(self, frame: Frame) -> list[ScoredBox]:
+        truth = self.truth.get(frame.frame_index)
+        return synthetic_detect(self.config, frame.frame_index, truth, frame.width, frame.height, self.source)

@@ -1,5 +1,8 @@
 """Operator entry point: run pipelines, evaluate results, generate fixtures.
 
+``run`` takes every detection parameter from its config file; a run's
+manifest records that config, so ``run --config <manifest>`` replays the run.
+
 Exit codes: 0 success, 1 any other scopeline error (such as a backend that
 cannot start), 2 configuration error, 3 input-data error. Output files are
 written to a temporary name and atomically renamed into place; a failed
@@ -15,15 +18,12 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
 from .annotations import annotations_by_frame, load_annotations
-from .backends.synthetic import SyntheticDetectorConfig
 from .datagen import DatasetSpec, write_dataset
-from .ensemble import MODE_AND, MODE_SIZE_AWARE
 from .errors import ConfigError, DataFormatError, MediaFormatError, ScopelineError
 from .evaluation import (
     CRITERION_CENTROID,
@@ -38,14 +38,7 @@ from .evaluation import (
     write_recall_curve_csv,
 )
 from .media import DirectoryFrameStream, StreamInfo
-from .pipeline import (
-    EXECUTION_PARALLEL,
-    EXECUTION_SEQUENTIAL,
-    Pipeline,
-    PipelineConfig,
-    load_results,
-    result_to_dict,
-)
+from .pipeline import Pipeline, PipelineConfig, load_results, result_to_dict
 
 log = logging.getLogger("scopeline")
 
@@ -102,25 +95,6 @@ def _load_run_config(config_path: Path) -> tuple[PipelineConfig, dict]:
     return PipelineConfig.from_dict(raw), {}
 
 
-def _apply_run_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    if args.mode is not None:
-        config = replace(config, execution=args.mode)
-    ensemble = config.ensemble
-    if args.ensemble is not None:
-        ensemble = replace(ensemble, mode=args.ensemble)
-    if args.iou_threshold is not None:
-        ensemble = replace(ensemble, iou_threshold=args.iou_threshold)
-    if args.short_edge_threshold is not None:
-        ensemble = replace(ensemble, short_edge_ratio_threshold=args.short_edge_threshold)
-    config = replace(config, ensemble=ensemble)
-    if args.seed is not None:
-        if isinstance(config.detector_a, SyntheticDetectorConfig):
-            config = replace(config, detector_a=replace(config.detector_a, seed=args.seed))
-        if isinstance(config.detector_b, SyntheticDetectorConfig):
-            config = replace(config, detector_b=replace(config.detector_b, seed=args.seed + 1))
-    return config
-
-
 def _discover_annotations(input_dir: Path, explicit: str | None) -> Path | None:
     if explicit is not None:
         path = Path(explicit)
@@ -137,16 +111,8 @@ def _discover_annotations(input_dir: Path, explicit: str | None) -> Path | None:
     return None
 
 
-def _seed_registry(config: PipelineConfig) -> dict:
-    seeds = {}
-    for slot, spec in (("detector_a", config.detector_a), ("detector_b", config.detector_b)):
-        seeds[slot] = spec.seed if isinstance(spec, SyntheticDetectorConfig) else None
-    return seeds
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config, recorded = _load_run_config(Path(args.config))
-    config = _apply_run_overrides(config, args)
 
     input_path = args.input or recorded.get("input")
     if not input_path:
@@ -186,7 +152,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config": config.to_dict(),
         "input": {"path": str(input_dir), **stream.info.to_dict()},
         "annotations": str(annotations_path) if annotations_path else None,
-        "seeds": _seed_registry(config),
     }
     _atomic_write_json(out / MANIFEST_NAME, manifest)
     _atomic_write_json(out / LATENCY_REPORT_NAME, summary.latency)
@@ -316,11 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", default=None, help="frame directory with manifest.json")
     run.add_argument("--output", required=True, help="output directory for results and manifest")
     run.add_argument("--annotations", default=None, help="annotations JSONL for synthetic backends")
-    run.add_argument("--mode", choices=[EXECUTION_SEQUENTIAL, EXECUTION_PARALLEL], default=None)
-    run.add_argument("--ensemble", choices=[MODE_AND, MODE_SIZE_AWARE], default=None)
-    run.add_argument("--iou-threshold", type=float, default=None)
-    run.add_argument("--short-edge-threshold", type=float, default=None)
-    run.add_argument("--seed", type=int, default=None, help="override synthetic seeds (A=seed, B=seed+1)")
     run.add_argument("--fps", type=float, default=None, help="override the stream fps")
     run.set_defaults(func=cmd_run)
 

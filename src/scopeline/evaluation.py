@@ -34,7 +34,6 @@ RECALL_CURVE_HORIZONS = tuple(t / 2.0 for t in range(0, 61))
 class MatchConfig:
     criterion: str = CRITERION_IOU
     iou_match_threshold: float = DEFAULT_IOU_MATCH_THRESHOLD
-    labels: tuple[str, ...] = (LABEL_POLYP,)
 
     def __post_init__(self) -> None:
         if self.criterion not in (CRITERION_IOU, CRITERION_CENTROID):
@@ -78,13 +77,11 @@ def match_frame(
     Predictions are taken in descending score order; each claims the
     unmatched ground-truth box of highest IoU at or above the threshold
     (``iou`` criterion) or of highest IoU among boxes containing the
-    prediction's center (``centroid`` criterion). Boxes outside the class
-    filter are ignored on both sides.
+    prediction's center (``centroid`` criterion). Only polyps are scored:
+    boxes of any other label are ignored on both sides.
     """
-    gt_boxes = (
-        [lb.box for lb in truth.boxes if lb.label in cfg.labels] if truth is not None else []
-    )
-    preds = [p for p in predictions if p.label in cfg.labels]
+    gt_boxes = truth.polyp_boxes() if truth is not None else []
+    preds = [p for p in predictions if p.label == LABEL_POLYP]
     preds.sort(key=lambda sb: -sb.score)
 
     matched = [False] * len(gt_boxes)

@@ -9,7 +9,7 @@ pixel-counting check is an equality test rather than a tolerance test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 SOURCE_A = "detector-A"
 SOURCE_B = "detector-B"
@@ -68,6 +68,27 @@ class ScoredBox:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
+
+
+def json_field(record: Mapping, key: str, kind: type):
+    """``record[key]``, of JSON type ``kind`` exactly: ``2.7`` and ``true`` are no int.
+
+    KeyError when the key is absent, TypeError for a value of another type.
+    """
+    value = record[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def box_to_dict(box: BoundingBox, **fields) -> dict:
+    """JSON record of a box: ``x``, ``y``, ``w``, ``h``, then the caller's ``fields`` in order."""
+    return {"x": box.x, "y": box.y, "w": box.w, "h": box.h, **fields}
+
+
+def box_from_dict(record: Mapping) -> BoundingBox:
+    """The box of a :func:`box_to_dict` record; its coordinates must be JSON integers."""
+    return BoundingBox(*(json_field(record, key, int) for key in "xywh"))
 
 
 def intersection_area(a: BoundingBox, b: BoundingBox) -> int:

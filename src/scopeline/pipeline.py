@@ -37,7 +37,7 @@ from .backends.external import (
 from .backends.synthetic import SyntheticDetector, SyntheticDetectorConfig
 from .ensemble import MODE_SIZE_AWARE, EnsembleConfig, and_ensemble, size_aware_ensemble
 from .errors import ConfigError, DataFormatError, ScopelineError
-from .geometry import SOURCE_A, SOURCE_B, BoundingBox, ScoredBox
+from .geometry import LABEL_POLYP, SOURCE_A, SOURCE_B, ScoredBox, box_from_dict, box_to_dict, json_field
 from .media import DEFAULT_BLUR_THRESHOLD, Frame
 
 STAGE_GATE = "gate"
@@ -240,9 +240,9 @@ def _connect(spec: ExternalBackendSpec) -> ExternalClient:
     return ExternalClient(TcpTransport(spec.host, spec.port))
 
 
-def build_detector(spec: DetectorSpec, source: str) -> DetectorBackend:
+def build_detector(spec: DetectorSpec, source: str, truth: Mapping[int, FrameAnnotation]) -> DetectorBackend:
     if isinstance(spec, SyntheticDetectorConfig):
-        return SyntheticDetector(spec, source)
+        return SyntheticDetector(spec, source, truth)
     return ExternalDetectorBackend(_connect(spec), source)
 
 
@@ -321,7 +321,7 @@ class StageTimer:
 
 
 class Pipeline:
-    """Owns the gate and detector backends for one run."""
+    """Owns the gate and detector backends for one run; ``truth`` goes to the synthetic ones."""
 
     def __init__(
         self,
@@ -329,13 +329,13 @@ class Pipeline:
         truth: Mapping[int, FrameAnnotation] | None = None,
     ):
         self.config = config
-        self.truth = dict(truth) if truth else {}
+        truth = dict(truth) if truth else {}
         self._pool: ThreadPoolExecutor | None = None
         self.gate = self.detector_a = self.detector_b = None
         try:
             self.gate = build_gate(config.gate)
-            self.detector_a = build_detector(config.detector_a, SOURCE_A)
-            self.detector_b = build_detector(config.detector_b, SOURCE_B)
+            self.detector_a = build_detector(config.detector_a, SOURCE_A, truth)
+            self.detector_b = build_detector(config.detector_b, SOURCE_B, truth)
         except BaseException:
             # Close the backends already started, e.g. a gate and A when B cannot start.
             self.close()
@@ -358,26 +358,24 @@ class Pipeline:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def process_frame(self, frame: Frame, truth: FrameAnnotation | None = None) -> PipelineResult:
+    def process_frame(self, frame: Frame) -> PipelineResult:
         """Run one frame through gate, detectors, and ensemble.
 
         Backend failures propagate as ScopelineError; stream drivers catch
         them and mark the frame failed (see :meth:`process_stream`).
         """
-        if truth is None:
-            truth = self.truth.get(frame.frame_index)
         timer = StageTimer()
         blurry = False
         if self.gate is not None:
             blurry = timer.run(STAGE_GATE, self.config.gate.simulated_latency_ms, self.gate.is_blurry, frame)
-        detections = () if blurry else tuple(self._detect(frame, truth, timer))
+        detections = () if blurry else tuple(self._detect(frame, timer))
         return PipelineResult(frame.frame_index, blurry, detections, timer.latencies())
 
-    def _detect(self, frame: Frame, truth: FrameAnnotation | None, timer: StageTimer) -> list[ScoredBox]:
+    def _detect(self, frame: Frame, timer: StageTimer) -> list[ScoredBox]:
         """Both detectors and the ensemble, each timed as its stage."""
         a_ms, b_ms = _simulated_ms(self.config.detector_a), _simulated_ms(self.config.detector_b)
-        call_a = (STAGE_DETECTOR_A, a_ms, self.detector_a.detect, frame, truth)
-        call_b = (STAGE_DETECTOR_B, b_ms, self.detector_b.detect, frame, truth)
+        call_a = (STAGE_DETECTOR_A, a_ms, self.detector_a.detect, frame)
+        call_b = (STAGE_DETECTOR_B, b_ms, self.detector_b.detect, frame)
         ensemble = self.config.ensemble
         if ensemble.mode == MODE_SIZE_AWARE:
             boxes_a = timer.run(*call_a)
@@ -429,16 +427,7 @@ def result_to_dict(result: PipelineResult) -> dict:
         "frame_index": result.frame_index,
         "blurry": result.blurry,
         "detections": [
-            {
-                "x": sb.box.x,
-                "y": sb.box.y,
-                "w": sb.box.w,
-                "h": sb.box.h,
-                "score": sb.score,
-                "source": sb.source,
-                "label": sb.label,
-            }
-            for sb in result.detections
+            box_to_dict(sb.box, score=sb.score, source=sb.source, label=sb.label) for sb in result.detections
         ],
         "error": result.error,
     }
@@ -448,16 +437,16 @@ def result_from_dict(row: Mapping) -> PipelineResult:
     try:
         detections = tuple(
             ScoredBox(
-                BoundingBox(int(d["x"]), int(d["y"]), int(d["w"]), int(d["h"])),
+                box_from_dict(d),
                 float(d["score"]),
                 str(d.get("source", SOURCE_A)),
-                str(d.get("label", "polyp")),
+                str(d.get("label", LABEL_POLYP)),
             )
             for d in row["detections"]
         )
         return PipelineResult(
-            frame_index=int(row["frame_index"]),
-            blurry=bool(row["blurry"]),
+            frame_index=json_field(row, "frame_index", int),
+            blurry=json_field(row, "blurry", bool),
             detections=detections,
             stage_latencies={},
             error=row.get("error"),

@@ -15,6 +15,7 @@ MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _STD_NORMAL = NormalDist()
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def frame_seed(seed: int, frame_index: int) -> int:
@@ -39,9 +40,11 @@ class SplitMix64:
         """Uniform double in the open interval (0, 1); one raw draw.
 
         Maps the top 53 bits k to (k + 0.5) * 2^-53 so the endpoints are
-        never produced, keeping inverse-CDF transforms finite.
+        never produced, keeping inverse-CDF transforms finite. For the top
+        k = 2^53 - 1 that product rounds to 1.0, so it is held to the largest
+        double below 1; every other k already maps below it.
         """
-        return ((self.next_uint64() >> 11) + 0.5) * 2.0**-53
+        return min(((self.next_uint64() >> 11) + 0.5) * 2.0**-53, _BELOW_ONE)
 
     def next_below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n); one or more raw draws (rejection)."""
@@ -58,7 +61,12 @@ class SplitMix64:
         return _STD_NORMAL.inv_cdf(self.next_float())
 
     def poisson(self, mean: float) -> int:
-        """Poisson sample via CDF inversion of a single uniform draw."""
+        """Poisson sample via CDF inversion of a single uniform draw.
+
+        The rounded CDF sum can converge just below 1 (to 1 - 2^-52 for a mean
+        of 0.1), short of a draw near 1, so the inversion also ends where the
+        next term no longer changes the sum: that draw lies in the far tail.
+        """
         if mean < 0.0:
             raise ValueError(f"Poisson mean must be non-negative, got {mean}")
         if mean == 0.0:
@@ -67,9 +75,11 @@ class SplitMix64:
         p = math.exp(-mean)
         cumulative = p
         k = 0
-        while u > cumulative and k < 1_000_000:
+        while u > cumulative:
             k += 1
             p *= mean / k
+            if cumulative + p == cumulative:
+                break
             cumulative += p
         return k
 

@@ -9,7 +9,7 @@ import pytest
 
 from scopeline.annotations import FrameAnnotation, LabeledBox, load_annotations, save_annotations
 from scopeline.errors import DataFormatError
-from scopeline.geometry import BoundingBox
+from scopeline.geometry import BoundingBox, ScoredBox
 from scopeline.pipeline import PipelineResult, load_results, result_to_dict
 
 ANNOTATION = {"video_id": "v", "frame_index": 0, "boxes": [{"x": 1, "y": 2, "w": 3, "h": 4, "label": "polyp"}]}
@@ -19,6 +19,29 @@ LOADERS = [
     pytest.param(load_annotations, ANNOTATION, {"video_id": "v", "frame_index": 1}, id="annotations"),
     pytest.param(load_results, RESULT, {"frame_index": "one", "blurry": False, "detections": []}, id="results"),
 ]
+
+MISTYPED_ANNOTATIONS = {
+    "fractional frame_index": {**ANNOTATION, "frame_index": 2.7},
+    "boolean frame_index": {**ANNOTATION, "frame_index": True},
+    "fractional box x": {**ANNOTATION, "boxes": [{"x": 0.99, "y": 2, "w": 3, "h": 4}]},
+    "boolean box w": {**ANNOTATION, "boxes": [{"x": 1, "y": 2, "w": True, "h": 4}]},
+    "box h as text": {**ANNOTATION, "boxes": [{"x": 1, "y": 2, "w": 3, "h": "4"}]},
+}
+DETECTION = {"x": 1, "y": 2, "w": 3, "h": 4, "score": 0.5, "source": "detector-A", "label": "polyp"}
+MISTYPED_RESULTS = {
+    "blurry as text": {**RESULT, "blurry": "false"},
+    "blurry as an integer": {**RESULT, "blurry": 0},
+    "fractional frame_index": {**RESULT, "frame_index": 2.7},
+    "boolean frame_index": {**RESULT, "frame_index": False},
+    "fractional box x": {**RESULT, "detections": [{**DETECTION, "x": 7.9}]},
+    "boolean box w": {**RESULT, "detections": [{**DETECTION, "w": True}]},
+}
+
+# A mistyped value is rejected, not truncated or coerced: (load, good row, bad row).
+MISTYPED = [
+    pytest.param(load_annotations, ANNOTATION, row, id=f"annotations-{name}")
+    for name, row in MISTYPED_ANNOTATIONS.items()
+] + [pytest.param(load_results, RESULT, row, id=f"results-{name}") for name, row in MISTYPED_RESULTS.items()]
 
 
 def write_lines(path, lines) -> None:
@@ -33,7 +56,7 @@ def test_invalid_json_names_path_and_line(tmp_path, load, good, bad):
         load(path)
 
 
-@pytest.mark.parametrize("load, good, bad", LOADERS)
+@pytest.mark.parametrize("load, good, bad", LOADERS + MISTYPED)
 def test_bad_row_names_path_and_line(tmp_path, load, good, bad):
     path = tmp_path / "rows.jsonl"
     write_lines(path, [json.dumps(good), json.dumps(bad)])
@@ -63,3 +86,28 @@ def test_results_round_trip(tmp_path):
     path = tmp_path / "results.jsonl"
     write_lines(path, [json.dumps(result_to_dict(result))])
     assert load_results(path) == [result]
+
+
+# Rows as earlier versions wrote them, byte for byte.
+ANNOTATION_LINE = '{"video_id":"v","frame_index":5,"boxes":[{"x":0,"y":1,"w":9,"h":8,"label":"instrument"}]}'
+RESULT_LINE = (
+    '{"frame_index":3,"blurry":false,"detections":[{"x":1,"y":2,"w":3,"h":4,"score":0.75,'
+    '"source":"detector-B","label":"polyp"}],"error":null}'
+)
+
+
+def test_annotation_line_loads_and_is_rewritten_byte_for_byte(tmp_path):
+    path = tmp_path / "annotations.jsonl"
+    write_lines(path, [ANNOTATION_LINE])
+    [annotation] = load_annotations(path)
+    assert annotation == FrameAnnotation("v", 5, (LabeledBox(BoundingBox(0, 1, 9, 8), "instrument"),))
+    save_annotations(tmp_path / "again.jsonl", [annotation])
+    assert (tmp_path / "again.jsonl").read_text(encoding="utf-8") == ANNOTATION_LINE + "\n"
+
+
+def test_results_line_loads_and_is_rewritten_byte_for_byte(tmp_path):
+    path = tmp_path / "results.jsonl"
+    write_lines(path, [RESULT_LINE])
+    [result] = load_results(path)
+    assert result == PipelineResult(3, False, (ScoredBox(BoundingBox(1, 2, 3, 4), 0.75, "detector-B"),), {})
+    assert json.dumps(result_to_dict(result), separators=(",", ":")) == RESULT_LINE

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from scopeline.annotations import FrameAnnotation, LabeledBox
-from scopeline.backends.synthetic import SyntheticDetector, SyntheticDetectorConfig, synthetic_detect
+from scopeline.backends.synthetic import MAX_JITTER_PX, SyntheticDetector, SyntheticDetectorConfig, synthetic_detect
 from scopeline.errors import ConfigError
 from scopeline.geometry import LABEL_INSTRUMENT, SOURCE_B, BoundingBox, iou
+from scopeline.rng import MASK64, SplitMix64
 
 from conftest import solid_frame
 
@@ -55,6 +56,15 @@ class TestOutputValidity:
             for sb in synthetic_detect(cfg, frame_index, edge_truth, W, H):
                 assert sb.box.within(W, H)
                 assert 0.0 <= sb.score <= 1.0
+
+    @pytest.mark.parametrize("raw_draw", [0, MASK64], ids=["lowest", "highest"])
+    def test_boxes_inside_image_at_the_jitter_bound_on_an_extreme_draw(self, monkeypatch, raw_draw):
+        # Every raw draw extreme, so each Gaussian jitter is about +-8.3 x MAX_JITTER_PX.
+        monkeypatch.setattr(SplitMix64, "next_uint64", lambda self: raw_draw)
+        cfg = SyntheticDetectorConfig(seed=3, p_tp=1.0, fp_rate=1.0, jitter_px=MAX_JITTER_PX)
+        out = synthetic_detect(cfg, 0, TRUTH, W, H)
+        assert out
+        assert all(sb.box.within(W, H) for sb in out)
 
     def test_scores_respect_configured_ranges(self):
         cfg = SyntheticDetectorConfig(
@@ -130,6 +140,7 @@ class TestConfigValidation:
             {"p_tp": 1.5},
             {"fp_rate": -0.1},
             {"jitter_px": -1.0},
+            {"jitter_px": 2 * MAX_JITTER_PX},
             {"tp_score_range": (0.9, 0.2)},
             {"fp_score_range": (-0.1, 0.5)},
             {"simulated_latency_ms": -3.0},
@@ -142,6 +153,6 @@ class TestConfigValidation:
 
 def test_backend_wrapper_tags_source():
     cfg = SyntheticDetectorConfig(seed=5, p_tp=1.0, fp_rate=0.0)
-    backend = SyntheticDetector(cfg, SOURCE_B)
-    out = backend.detect(solid_frame((10, 10, 10), width=W, height=H), TRUTH)
+    backend = SyntheticDetector(cfg, SOURCE_B, {0: TRUTH})
+    out = backend.detect(solid_frame((10, 10, 10), width=W, height=H))
     assert out[0].source == SOURCE_B

@@ -71,6 +71,13 @@ def test_bad_config_exits_2(tmp_path, dataset, config):
     assert not (tmp_path / "out" / "results.jsonl").exists()
 
 
+def test_jitter_past_its_bound_exits_2(tmp_path, dataset, capsys):
+    config = {**CONFIG, "detector_a": {"kind": "synthetic", "seed": 1, "jitter_px": 1.7e308}}
+    assert run(tmp_path, dataset, config=config) == 2
+    assert "jitter_px" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exits_2(tmp_path, dataset):
     code = cli.main(["run", "--config", str(tmp_path / "absent.json"),
                      "--input", str(dataset / "videos" / "video-000"), "--output", str(tmp_path / "out")])
@@ -216,6 +223,29 @@ def test_bench_is_not_a_command(capsys):
 
 def scopeline(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "scopeline", *args], capture_output=True, text=True, timeout=60)
+
+
+def test_run_flags_name_only_files_and_the_fps(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["run", "--help"])
+    flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags == ["--config", "--input", "--output", "--annotations", "--fps"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--mode", "parallel"), ("--ensemble", "size_aware"), ("--iou-threshold", "0.3"),
+     ("--short-edge-threshold", "0.2"), ("--seed", "4")],
+)
+def test_detection_parameter_flags_are_gone(tmp_path, dataset, capsys, flag, value):
+    assert run(tmp_path, dataset, flag, value) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_manifest_records_no_seed_copy(tmp_path, dataset):
+    assert run(tmp_path, dataset) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest) == ["annotations", "config", "input", "tool", "version"]
 
 
 def test_module_entry_point_lists_exactly_the_commands():

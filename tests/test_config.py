@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from scopeline.backends.synthetic import MAX_FP_RATE, SyntheticDetectorConfig
+from scopeline.backends.synthetic import MAX_FP_RATE, MAX_JITTER_PX, SyntheticDetectorConfig
 from scopeline.ensemble import EnsembleConfig
 from scopeline.errors import ConfigError
 from scopeline.pipeline import ExternalBackendSpec, GateConfig, PipelineConfig
@@ -177,6 +177,7 @@ REJECTED = {
     "fp_rate past its bound": edit("detector_a.fp_rate", 800),
     "NaN jitter_px": edit("detector_a.jitter_px", float("nan")),
     "infinite jitter_px": edit("detector_a.jitter_px", float("inf")),
+    "jitter_px past its bound": edit("detector_a.jitter_px", 1.7e308),
     "NaN detector simulated latency": edit("detector_a.simulated_latency_ms", float("nan")),
     "infinite detector simulated latency": edit("detector_a.simulated_latency_ms", float("inf")),
     "NaN spelled as a string": edit("gate.threshold", "nan"),
@@ -205,3 +206,8 @@ def test_non_finite_numbers_from_json_text_are_rejected():
 def test_fp_rate_at_its_bound_loads():
     config = PipelineConfig.from_dict(edit("detector_a.fp_rate", MAX_FP_RATE))
     assert config.detector_a.fp_rate == MAX_FP_RATE
+
+
+def test_jitter_px_at_its_bound_loads():
+    config = PipelineConfig.from_dict(edit("detector_a.jitter_px", MAX_JITTER_PX))
+    assert config.detector_a.jitter_px == MAX_JITTER_PX

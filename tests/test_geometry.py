@@ -12,6 +12,8 @@ from scopeline.geometry import (
     SOURCE_B,
     BoundingBox,
     ScoredBox,
+    box_from_dict,
+    box_to_dict,
     iou,
     nms,
     short_edge_ratio,
@@ -148,3 +150,20 @@ class TestNms:
             threshold = rng.random()
             once = nms(boxes, threshold)
             assert nms(once, threshold) == once
+
+
+def test_box_record_keys_come_first_then_the_callers_fields():
+    record = box_to_dict(BoundingBox(1, 2, 3, 4), score=0.5, label="polyp")
+    assert list(record.items()) == [("x", 1), ("y", 2), ("w", 3), ("h", 4), ("score", 0.5), ("label", "polyp")]
+    assert box_from_dict(record) == BoundingBox(1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("key, value", [("x", 7.9), ("y", 2.0), ("w", True), ("h", "4"), ("x", None)])
+def test_box_record_coordinates_must_be_json_integers(key, value):
+    with pytest.raises(TypeError, match=f"{key} must be of type int"):
+        box_from_dict({**box_to_dict(BoundingBox(1, 2, 3, 4)), key: value})
+
+
+def test_box_record_without_a_coordinate_raises_key_error():
+    with pytest.raises(KeyError):
+        box_from_dict({"x": 1, "y": 2, "w": 3})

@@ -90,15 +90,15 @@ def digest(out: Path) -> str:
 
 
 @pytest.mark.parametrize(
-    "name, raw_config, args",
+    "name, raw_config",
     [
-        ("and-sequential", AND_CONFIG, ["--mode", "sequential"]),
-        ("and-parallel", AND_CONFIG, ["--mode", "parallel"]),
-        ("size-aware-stub", {**SIZE_AWARE_CONFIG, "detector_b": stub_b()}, []),
+        ("and-sequential", {**AND_CONFIG, "execution": "sequential"}),
+        ("and-parallel", {**AND_CONFIG, "execution": "parallel"}),
+        ("size-aware-stub", {**SIZE_AWARE_CONFIG, "detector_b": stub_b()}),
     ],
 )
-def test_results_match_golden_digest(tmp_path, video_dir, name, raw_config, args):
-    out = run_cli(tmp_path, raw_config, "--input", str(video_dir), *args)
+def test_results_match_golden_digest(tmp_path, video_dir, name, raw_config):
+    out = run_cli(tmp_path, raw_config, "--input", str(video_dir))
     assert digest(out) == GOLDEN[name]
 
 
@@ -106,7 +106,7 @@ def test_sequential_and_parallel_rows_identical(tmp_path, video_dir):
     rows = {}
     for mode in ("sequential", "parallel"):
         (tmp_path / mode).mkdir()
-        out = run_cli(tmp_path / mode, AND_CONFIG, "--input", str(video_dir), "--mode", mode)
+        out = run_cli(tmp_path / mode, {**AND_CONFIG, "execution": mode}, "--input", str(video_dir))
         rows[mode] = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(rows["sequential"]) == SPEC.frames_per_video
     assert rows["sequential"] == rows["parallel"]
@@ -139,7 +139,7 @@ def test_size_aware_calls_b_exactly_on_frames_with_a_large_a_box(video_dir):
 POLYP = BoundingBox(40, 30, 40, 40)
 
 
-def profiled_pipeline(execution: str, mode: str = "and") -> Pipeline:
+def profiled_pipeline(execution: str, mode: str, truth: dict) -> Pipeline:
     """Gate, detector A and detector B charged 3, 20 and 20 simulated ms."""
     return Pipeline(
         PipelineConfig(
@@ -148,7 +148,8 @@ def profiled_pipeline(execution: str, mode: str = "and") -> Pipeline:
             gate=GateConfig(simulated_latency_ms=3.0),
             ensemble=EnsembleConfig(mode=mode),
             execution=execution,
-        )
+        ),
+        truth,
     )
 
 
@@ -168,10 +169,10 @@ def test_total_wall_is_simulated_cost_plus_real_time(execution, mode, blurry, po
     boxes = (POLYP,) if polyp and not blurry else ()
     frame = render_frame(FramePlan(0, blurry, boxes), SPEC)
     truth = FrameAnnotation("video-000", 0, tuple(LabeledBox(b) for b in boxes))
-    with profiled_pipeline(execution, mode) as pipeline:
-        pipeline.process_frame(frame, truth)  # warm the thread pool
+    with profiled_pipeline(execution, mode, {0: truth}) as pipeline:
+        pipeline.process_frame(frame)  # warm the thread pool
         start = perf_counter()
-        result = pipeline.process_frame(frame, truth)
+        result = pipeline.process_frame(frame)
         elapsed_ms = (perf_counter() - start) * 1000.0
     total = result.stage_latencies["total_wall"]
     assert simulated_ms <= total <= simulated_ms + elapsed_ms
@@ -182,7 +183,7 @@ def test_total_wall_is_simulated_cost_plus_real_time(execution, mode, blurry, po
 class RaisingDetector:
     source = "detector-A"
 
-    def detect(self, frame, truth=None):
+    def detect(self, frame):
         raise BackendError("detector A failed")
 
 
@@ -198,7 +199,7 @@ class SlowDetector:
         self.max_in_flight = 0
         self._lock = threading.Lock()
 
-    def detect(self, frame, truth=None):
+    def detect(self, frame):
         with self._lock:
             self.calls += 1
             self.in_flight += 1
@@ -264,6 +265,18 @@ def test_manifest_replay_reproduces_results_and_fps(tmp_path):
     manifest = json.loads((replay / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["input"]["fps"] == 30
     assert manifest["annotations"] == str(annotations)
+
+
+def test_replay_of_a_manifest_with_a_seeds_key(tmp_path, video_dir):
+    # Earlier runs also recorded each synthetic seed under "seeds"; replay ignores that copy.
+    first = run_cli(tmp_path, AND_CONFIG, "--input", str(video_dir))
+    manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+    manifest["seeds"] = {"detector_a": 1, "detector_b": 2}
+    old = tmp_path / "old-manifest.json"
+    old.write_text(json.dumps(manifest), encoding="utf-8")
+    replay = tmp_path / "replay"
+    assert cli.main(["run", "--config", str(old), "--output", str(replay)]) == 0
+    assert (replay / "results.jsonl").read_bytes() == (first / "results.jsonl").read_bytes()
 
 
 def test_replay_rejects_a_non_numeric_recorded_fps(tmp_path, video_dir):

@@ -114,6 +114,18 @@ class TestCodecs:
         with pytest.raises(DataFormatError, match="index 1"):
             protocol.decode_detections(body, SOURCE_A, 64, 64)
 
+    def test_mistyped_box_rejected_not_truncated(self):
+        body = {
+            "type": "detections",
+            "frame_index": 0,
+            "boxes": [
+                {"x": 0, "y": 0, "w": 4, "h": 4, "score": 0.5},
+                {"x": 7.9, "y": 0, "w": True, "h": 4, "score": 0.5},
+            ],
+        }
+        with pytest.raises(DataFormatError, match="index 1"):
+            protocol.decode_detections(body, SOURCE_A, 64, 64)
+
     def test_box_outside_image_rejected(self):
         body = {
             "type": "detections",

@@ -74,11 +74,38 @@ def test_poisson_moments_and_edge_cases():
 
 
 def test_poisson_at_the_fp_rate_bound_inverts_to_its_tail():
-    # The largest uniform below 1 still ends the inversion near the mean,
-    # well short of the 1,000,000 cap that an underflowed exp(-mean) reaches.
+    # The largest uniform below 1 still ends the inversion in the tail just
+    # past the mean, since exp(-mean) is a normal double at the bound.
     rng = SplitMix64(0)
     rng.next_float = lambda: math.nextafter(1.0, 0.0)
     assert MAX_FP_RATE < rng.poisson(MAX_FP_RATE) < 2 * MAX_FP_RATE
+
+
+def top_draw_rng() -> SplitMix64:
+    """A generator whose every raw draw is the largest 64-bit value."""
+    rng = SplitMix64(0)
+    rng.next_uint64 = lambda: MASK64
+    return rng
+
+
+def test_next_float_stays_below_one_on_the_top_draw():
+    assert top_draw_rng().next_float() == math.nextafter(1.0, 0.0)
+
+
+def test_gaussian_is_finite_on_the_top_draw():
+    assert 8.0 < top_draw_rng().gaussian() < 8.3
+
+
+@pytest.mark.parametrize("mean", [0.1, 10.0, 100.0])
+def test_poisson_stays_small_on_the_top_draw(mean):
+    assert top_draw_rng().poisson(mean) < 2 * mean + 40
+
+
+def test_poisson_ends_where_its_rounded_sum_stops_below_the_draw():
+    # At mean 0.1 the CDF sum converges to 1 - 2^-52, short of this draw.
+    rng = SplitMix64(0)
+    rng.next_float = lambda: math.nextafter(1.0, 0.0)
+    assert rng.poisson(0.1) < 20
 
 
 def test_poisson_one_draw_per_sample():
