@@ -1,12 +1,12 @@
-"""Clients for external-process backends speaking the framed JSON protocol.
+"""Clients for external-process backends speaking the framed wire protocol.
 
 Transport is a local byte stream: either the standard streams of a child
 process or a TCP socket. Requests on one connection are serialized, and
 every response must echo its request's ``frame_index`` as a JSON integer.
 :meth:`ExternalClient.request` alone decides when to distrust a connection:
 it closes it on a desync (a wrong or missing echo) and on a framing fault
-(a response that is not one whole, well-formed frame), and refuses every
-later request.
+(a response that is not one whole, well-formed, header-only frame), and
+refuses every later request.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ class ExternalClient:
         try:
             protocol.write_message(self._transport.writer, body)
             response = protocol.read_message(self._transport.reader)
+            if response is not None and "pixels" in response:
+                raise ProtocolError("backend response carries a pixel payload")
         except (OSError, ValueError, ProtocolError) as exc:
             self.close()
             raise BackendError(f"backend transport failed: {exc}") from exc

@@ -1,35 +1,42 @@
-"""Framed JSON wire protocol for out-of-process detector and blur backends.
+"""Framed wire protocol for out-of-process detector and blur backends.
 
-Framing: a 4-byte big-endian unsigned length prefix followed by exactly that
-many bytes of UTF-8 JSON. Every body is a single JSON object carrying a
-mandatory ``"type"`` field.
+Framing: every message is ``[u32 BE length][JSON header][payload]``. The
+4-byte big-endian prefix gives the byte length of the UTF-8 JSON header, a
+single object with a mandatory ``"type"`` field. A header that carries
+``"payload_bytes"`` is followed by exactly that many raw bytes; any other
+message ends with its header. Both parts are bounded by
+``MAX_MESSAGE_BYTES``, and a declared payload must be ``3 * width * height``
+bytes, the size of a row-major RGB8 raster of the header's extent.
 
-Message types:
+Message types (``pixels`` is the payload):
 
-  ``detect``        {"type","frame_index","width","height","pixels_b64"}
+  ``detect``        {"type","frame_index","width","height","payload_bytes"} + pixels
   ``detections``    {"type","frame_index","boxes":[{"x","y","w","h","score"},...]}
-  ``blur``          {"type","frame_index","width","height","pixels_b64"}
+  ``blur``          {"type","frame_index","width","height","payload_bytes"} + pixels
   ``blur_verdict``  {"type","frame_index","blurry"}
 
-Pixels travel base64-inline (row-major RGB8) so the peer needs no shared
-filesystem. Every response echoes its request's ``frame_index``. The client
+In memory a message is one dict: :func:`encode_message` sends its
+``"pixels"`` bytes as the payload and declares their length, and
+:func:`read_message` hands the payload back under ``"pixels"``. Only
+requests carry a payload, so the peer needs no shared filesystem and no
+text encoding of the pixels. Every response echoes its request's
+``frame_index``. The client
 (:meth:`scopeline.backends.external.ExternalClient.request`) resets the
 connection on a desync (a wrong or missing echo) and on a framing fault (a
-response that is not one whole, well-formed frame).
+response that is not one whole, well-formed, header-only frame).
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 from typing import BinaryIO, Sequence
 
 from ..errors import DataFormatError, ProtocolError
-from ..geometry import ScoredBox, box_from_dict, box_to_dict
+from ..geometry import JSON_NUMBER, ScoredBox, box_from_dict, box_to_dict, json_field
 from ..media import Frame
 
-HEADER_SIZE = 4
+PREFIX_SIZE = 4
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 TYPE_DETECT = "detect"
@@ -39,13 +46,19 @@ TYPE_BLUR_VERDICT = "blur_verdict"
 
 
 def encode_message(body: dict) -> bytes:
-    """Serialize one message to its framed byte form."""
+    """Serialize one message to its framed byte form; ``body["pixels"]`` becomes the payload."""
     if "type" not in body:
         raise ProtocolError("message body lacks mandatory 'type' field")
-    payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(f"message of {len(payload)} bytes exceeds {MAX_MESSAGE_BYTES}")
-    return struct.pack(">I", len(payload)) + payload
+    header = {key: value for key, value in body.items() if key != "pixels"}
+    payload = body.get("pixels", b"")
+    if "pixels" in body:
+        header["payload_bytes"] = len(payload)
+    text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    if max(len(text), len(payload)) > MAX_MESSAGE_BYTES:
+        raise ProtocolError(
+            f"header of {len(text)} or payload of {len(payload)} bytes exceeds {MAX_MESSAGE_BYTES}"
+        )
+    return b"".join((struct.pack(">I", len(text)), text, payload))
 
 
 def _parse_body(payload: bytes) -> dict:
@@ -58,20 +71,53 @@ def _parse_body(payload: bytes) -> dict:
     return body
 
 
+def _read_exact(stream: BinaryIO, size: int, what: str) -> bytes:
+    data = stream.read(size)
+    if len(data) < size:
+        raise ProtocolError(f"truncated {what}: got {len(data)} of {size} bytes")
+    return data
+
+
+def _frame_header(body: dict) -> tuple[int, int, int]:
+    """``(frame_index, width, height)`` of a frame message: JSON integers, at least 1x1."""
+    try:
+        frame_index, width, height = (json_field(body, key, int) for key in ("frame_index", "width", "height"))
+    except (KeyError, TypeError) as exc:
+        raise ProtocolError(f"bad frame header: {exc}") from exc
+    if width < 1 or height < 1:
+        raise ProtocolError(f"bad frame header: width and height must be at least 1, got {width}x{height}")
+    return frame_index, width, height
+
+
+def _payload_size(body: dict) -> int:
+    """The payload length a header declares; ProtocolError unless it is the raster's 3·w·h."""
+    _, width, height = _frame_header(body)
+    try:
+        size = json_field(body, "payload_bytes", int)
+    except TypeError as exc:
+        raise ProtocolError(f"bad frame header: {exc}") from exc
+    if size > MAX_MESSAGE_BYTES:
+        raise ProtocolError(f"declared payload of {size} bytes exceeds {MAX_MESSAGE_BYTES}")
+    if size != 3 * width * height:
+        raise ProtocolError(f"declared payload of {size} bytes, expected {3 * width * height} for {width}x{height}")
+    return size
+
+
 def read_message(stream: BinaryIO) -> dict | None:
-    """Read one framed message; None on clean EOF, ProtocolError on a torn one."""
-    header = stream.read(HEADER_SIZE)
-    if header == b"":
+    """Read one framed message; None on clean EOF, ProtocolError on a torn or ill-declared one."""
+    prefix = stream.read(PREFIX_SIZE)
+    if prefix == b"":
         return None
-    if len(header) < HEADER_SIZE:
-        raise ProtocolError(f"truncated length prefix: got {len(header)} of {HEADER_SIZE} bytes")
-    (length,) = struct.unpack(">I", header)
+    if len(prefix) < PREFIX_SIZE:
+        raise ProtocolError(f"truncated length prefix: got {len(prefix)} of {PREFIX_SIZE} bytes")
+    (length,) = struct.unpack(">I", prefix)
     if length > MAX_MESSAGE_BYTES:
         raise ProtocolError(f"declared message length {length} exceeds {MAX_MESSAGE_BYTES}")
-    payload = stream.read(length)
-    if len(payload) < length:
-        raise ProtocolError(f"truncated message body: got {len(payload)} of {length} bytes")
-    return _parse_body(payload)
+    body = _parse_body(_read_exact(stream, length, "message body"))
+    if "payload_bytes" in body:
+        body["pixels"] = _read_exact(stream, _payload_size(body), "pixel payload")
+        del body["payload_bytes"]
+    return body
 
 
 def write_message(stream: BinaryIO, body: dict) -> None:
@@ -85,7 +131,7 @@ def encode_detect_request(frame: Frame) -> dict:
         "frame_index": frame.frame_index,
         "width": frame.width,
         "height": frame.height,
-        "pixels_b64": base64.b64encode(frame.pixels).decode("ascii"),
+        "pixels": frame.pixels,
     }
 
 
@@ -97,17 +143,10 @@ def encode_blur_request(frame: Frame) -> dict:
 
 def decode_frame_payload(body: dict) -> tuple[int, int, int, bytes]:
     """Server-side decode of a detect/blur request: (frame_index, w, h, pixels)."""
-    try:
-        frame_index = int(body["frame_index"])
-        width = int(body["width"])
-        height = int(body["height"])
-        pixels = base64.b64decode(body["pixels_b64"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad frame payload: {exc}") from exc
-    if len(pixels) != 3 * width * height:
-        raise ProtocolError(
-            f"pixel payload is {len(pixels)} bytes, expected {3 * width * height}"
-        )
+    frame_index, width, height = _frame_header(body)
+    pixels = body.get("pixels")
+    if not isinstance(pixels, bytes) or len(pixels) != 3 * width * height:
+        raise ProtocolError(f"request carries no {3 * width * height}-byte pixel payload for {width}x{height}")
     return frame_index, width, height, pixels
 
 
@@ -134,8 +173,8 @@ def decode_detections(body: dict, source: str, image_w: int, image_h: int) -> li
     for i, entry in enumerate(raw):
         try:
             box = box_from_dict(entry)
-            scored = ScoredBox(box, float(entry["score"]), source)
-        except (KeyError, TypeError, ValueError) as exc:
+            scored = ScoredBox(box, float(json_field(entry, "score", JSON_NUMBER)), source)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"invalid box at index {i}: {exc}") from exc
         if not box.within(image_w, image_h):
             raise DataFormatError(

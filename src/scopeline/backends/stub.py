@@ -1,9 +1,11 @@
 """Reference external backend process for protocol integration tests.
 
-Speaks the framed JSON protocol over stdio (default) or a single TCP
-connection. Detection requests are answered with the boxes given on the
-command line, clipped to the frame; blur requests are answered blurry when
-every pixel byte is identical.
+Speaks the framed wire protocol of :mod:`scopeline.backends.protocol` over
+stdio (default) or a single TCP connection: each request is a JSON header
+followed by the frame's raw RGB8 pixels, each response a JSON header alone.
+Detection requests are answered with the boxes given on the command line,
+clipped to the frame; blur requests are answered blurry when every pixel
+byte is identical.
 
     python -m scopeline.backends.stub --box 10,10,40,40,0.9
     python -m scopeline.backends.stub --tcp-port 45000
@@ -52,7 +54,7 @@ def serve(reader: BinaryIO, writer: BinaryIO, raw_boxes, desync: bool = False) -
             response = protocol.encode_detections(echo, _clipped_boxes(raw_boxes, width, height))
         elif kind == protocol.TYPE_BLUR:
             frame_index, _width, _height, pixels = protocol.decode_frame_payload(body)
-            constant = len(set(pixels)) <= 1
+            constant = pixels.count(pixels[:1]) == len(pixels)
             echo = frame_index + 1 if desync else frame_index
             response = protocol.encode_blur_verdict(echo, constant)
         else:

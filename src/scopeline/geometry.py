@@ -18,6 +18,9 @@ SOURCE_ENSEMBLE = "ensemble"
 LABEL_POLYP = "polyp"
 LABEL_INSTRUMENT = "instrument"
 
+# The Python types a JSON number decodes to; ``bool`` is not one of them.
+JSON_NUMBER = (int, float)
+
 # NMS tie-break rank on equal scores; unknown tags sort last.
 _SOURCE_RANK = {SOURCE_A: 0, SOURCE_B: 1, SOURCE_ENSEMBLE: 2}
 
@@ -70,14 +73,17 @@ class ScoredBox:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
-def json_field(record: Mapping, key: str, kind: type):
-    """``record[key]``, of JSON type ``kind`` exactly: ``2.7`` and ``true`` are no int.
+def json_field(record: Mapping, key: str, kind: type | tuple[type, ...]):
+    """``record[key]``, of JSON type ``kind`` (or one of a tuple of types) exactly.
 
+    ``2.7`` and ``true`` are no int, and ``true`` is no :data:`JSON_NUMBER`.
     KeyError when the key is absent, TypeError for a value of another type.
     """
     value = record[key]
-    if type(value) is not kind:
-        raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise TypeError(f"{key} must be of type {names}, got {value!r}")
     return value
 
 

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MediaFormatError
+from .geometry import JSON_NUMBER, json_field
 
 DEFAULT_BLUR_THRESHOLD = 100.0
 
@@ -175,6 +176,10 @@ class StreamInfo:
     def __post_init__(self) -> None:
         if not 0.0 < self.fps < math.inf:
             raise MediaFormatError(f"stream fps must be positive and finite, got {self.fps}")
+        if self.width < 1 or self.height < 1:
+            raise MediaFormatError(f"stream width and height must be at least 1, got {self.width}x{self.height}")
+        if self.frame_count < 0:
+            raise MediaFormatError(f"stream frame_count must be non-negative, got {self.frame_count}")
 
     def to_dict(self) -> dict:
         return {
@@ -189,13 +194,13 @@ class StreamInfo:
     def from_dict(cls, row: dict) -> StreamInfo:
         try:
             return cls(
-                video_id=str(row["video_id"]),
-                fps=float(row["fps"]),
-                width=int(row["width"]),
-                height=int(row["height"]),
-                frame_count=int(row["frame_count"]),
+                video_id=json_field(row, "video_id", str),
+                fps=float(json_field(row, "fps", JSON_NUMBER)),
+                width=json_field(row, "width", int),
+                height=json_field(row, "height", int),
+                frame_count=json_field(row, "frame_count", int),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise MediaFormatError(f"bad stream manifest: {exc}") from exc
 
 

@@ -37,7 +37,7 @@ from .backends.external import (
 from .backends.synthetic import SyntheticDetector, SyntheticDetectorConfig
 from .ensemble import MODE_SIZE_AWARE, EnsembleConfig, and_ensemble, size_aware_ensemble
 from .errors import ConfigError, DataFormatError, ScopelineError
-from .geometry import LABEL_POLYP, SOURCE_A, SOURCE_B, ScoredBox, box_from_dict, box_to_dict, json_field
+from .geometry import JSON_NUMBER, SOURCE_A, SOURCE_B, ScoredBox, box_from_dict, box_to_dict, json_field
 from .media import DEFAULT_BLUR_THRESHOLD, Frame
 
 STAGE_GATE = "gate"
@@ -438,9 +438,9 @@ def result_from_dict(row: Mapping) -> PipelineResult:
         detections = tuple(
             ScoredBox(
                 box_from_dict(d),
-                float(d["score"]),
-                str(d.get("source", SOURCE_A)),
-                str(d.get("label", LABEL_POLYP)),
+                float(json_field(d, "score", JSON_NUMBER)),
+                json_field(d, "source", str),
+                json_field(d, "label", str),
             )
             for d in row["detections"]
         )
@@ -449,9 +449,9 @@ def result_from_dict(row: Mapping) -> PipelineResult:
             blurry=json_field(row, "blurry", bool),
             detections=detections,
             stage_latencies={},
-            error=row.get("error"),
+            error=json_field(row, "error", (str, type(None))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad results row: {exc}") from exc
 
 

@@ -35,6 +35,11 @@ MISTYPED_RESULTS = {
     "boolean frame_index": {**RESULT, "frame_index": False},
     "fractional box x": {**RESULT, "detections": [{**DETECTION, "x": 7.9}]},
     "boolean box w": {**RESULT, "detections": [{**DETECTION, "w": True}]},
+    "boolean score": {**RESULT, "detections": [{**DETECTION, "score": True}]},
+    "score as text": {**RESULT, "detections": [{**DETECTION, "score": "0.5"}]},
+    "integer source": {**RESULT, "detections": [{**DETECTION, "source": 7}]},
+    "null label": {**RESULT, "detections": [{**DETECTION, "label": None}]},
+    "integer error": {**RESULT, "error": 5},
 }
 
 # A mistyped value is rejected, not truncated or coerced: (load, good row, bad row).

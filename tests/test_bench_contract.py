@@ -7,7 +7,9 @@ installed. Each run goes through ``cli.main(["run", ...])``, and an open-loop
 workload also through ``Pipeline(config, truth).process_stream`` on a paced
 stream. Every results row must match perfbench's own single-threaded
 reference, no hook may see an error, and every hooked layer the workload
-reaches must record a span.
+reaches must record a span. The bytes perfbench counts as sent
+(``backends.protocol.bytes_out``) must be each request's raw pixels plus a
+small header.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ for name, workload in workloads.WORKLOADS.items():
         )
         recorder.spans.clear()
         recorder.errors.clear()
+        recorder.counters = dict.fromkeys(recorder.counters, 0)
         exit_code = run(args)["exit_code"]
         result = check.check_run(out / "results.jsonl", reference, spec.fps, truth)
         recorded = {span[0] for span in recorder.spans}
@@ -84,6 +87,11 @@ for name, workload in workloads.WORKLOADS.items():
             "hook_errors": recorder.errors,
             "missing_spans": sorted(expected_spans(workload) - recorded),
             "unknown_spans": sorted(recorded - set(tracing.SPAN_NAMES)),
+            "wire": {
+                "bytes_out": recorder.counters["bytes_out"],
+                "messages": sum(span[0] == tracing.ENCODE_MESSAGE for span in recorder.spans),
+                "frame_bytes": 3 * spec.width * spec.height,
+            },
         }
 print(json.dumps(report))
 """
@@ -104,6 +112,11 @@ def test_every_workload_passes_the_benchmark_checks(tmp_path):
     assert {key.split("/")[0] for key in report} >= {"replay-inproc", "replay-external", "live-mixed"}
     assert "live-mixed/live" in report
     for key, run in report.items():
+        # Every message is one detect request: its raw pixels and a header
+        # of at most 256 bytes. Text-encoded pixels would not fit.
+        wire = run.pop("wire")
+        frame_bytes = wire["frame_bytes"]
+        assert wire["messages"] * frame_bytes <= wire["bytes_out"] <= wire["messages"] * (frame_bytes + 256), key
         assert run == {
             "exit_code": 0,
             "frames_ok": FRAMES,

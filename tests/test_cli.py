@@ -189,12 +189,13 @@ def set_input(key, value):
         set_input("fps", "fast"),
         set_input("fps", 0),
         set_input("frame_count", "many"),
+        set_input("width", 7.9),
         lambda manifest: {k: v for k, v in manifest.items() if k != "input"},
         lambda manifest: {**manifest, "input": [manifest["input"]]},
         lambda manifest: [manifest],
     ],
-    ids=["non-numeric-fps", "zero-fps", "non-numeric-frame-count", "no-input", "input-not-an-object",
-         "not-an-object"],
+    ids=["non-numeric-fps", "zero-fps", "non-numeric-frame-count", "fractional-width", "no-input",
+         "input-not-an-object", "not-an-object"],
 )
 def test_eval_of_a_bad_run_manifest_exits_3(tmp_path, dataset, edit):
     assert run(tmp_path, dataset) == 0

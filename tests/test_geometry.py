@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from scopeline.geometry import (
+    JSON_NUMBER,
     SOURCE_A,
     SOURCE_B,
     BoundingBox,
@@ -15,6 +16,7 @@ from scopeline.geometry import (
     box_from_dict,
     box_to_dict,
     iou,
+    json_field,
     nms,
     short_edge_ratio,
 )
@@ -167,3 +169,14 @@ def test_box_record_coordinates_must_be_json_integers(key, value):
 def test_box_record_without_a_coordinate_raises_key_error():
     with pytest.raises(KeyError):
         box_from_dict({"x": 1, "y": 2, "w": 3})
+
+
+@pytest.mark.parametrize("value", [0, 7, 0.5, -1e300])
+def test_json_number_takes_ints_and_floats(value):
+    assert json_field({"score": value}, "score", JSON_NUMBER) is value
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [1]])
+def test_json_number_is_not_a_bool_text_or_null(value):
+    with pytest.raises(TypeError, match="score must be of type int or float"):
+        json_field({"score": value}, "score", JSON_NUMBER)

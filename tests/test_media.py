@@ -17,6 +17,7 @@ from scopeline.media import (
     DirectoryFrameStream,
     Frame,
     LaplacianVarianceScorer,
+    StreamInfo,
     decode_ppm,
     encode_ppm,
     heuristic_blur_gate,
@@ -336,3 +337,53 @@ class TestDirectoryFrameStream:
         (tmp_path / "000000.ppm").write_bytes(encode_ppm(2, 2, bytes(12)))
         with pytest.raises(MediaFormatError, match="manifest declares"):
             DirectoryFrameStream(tmp_path).read_frame(0)
+
+
+MANIFEST = {"video_id": "vid", "fps": 60.0, "width": 384, "height": 288, "frame_count": 600}
+
+# A mistyped or out-of-range manifest field, and the error it must raise.
+BAD_MANIFEST_FIELDS = [
+    ("video_id", 5, "video_id must be of type str"),
+    ("video_id", None, "video_id must be of type str"),
+    ("fps", "60", "fps must be of type int or float"),
+    ("fps", True, "fps must be of type int or float"),
+    ("fps", None, "fps must be of type int or float"),
+    ("fps", 0, "fps must be positive"),
+    ("fps", -1.5, "fps must be positive"),
+    ("fps", math.inf, "fps must be positive"),
+    ("fps", 10**400, "too large"),
+    ("width", 7.9, "width must be of type int"),
+    ("width", 0, "width and height must be at least 1"),
+    ("height", True, "height must be of type int"),
+    ("height", -2, "width and height must be at least 1"),
+    ("frame_count", "600", "frame_count must be of type int"),
+    ("frame_count", 600.0, "frame_count must be of type int"),
+    ("frame_count", -1, "frame_count must be non-negative"),
+]
+
+
+class TestStreamManifest:
+    def test_loads_exact_values(self):
+        assert StreamInfo.from_dict(MANIFEST) == StreamInfo("vid", 60.0, 384, 288, 600)
+        assert StreamInfo.from_dict(MANIFEST).to_dict() == MANIFEST
+
+    def test_integer_fps_and_empty_stream_accepted(self):
+        info = StreamInfo.from_dict({**MANIFEST, "fps": 25, "frame_count": 0})
+        assert (info.fps, type(info.fps), info.frame_count) == (25.0, float, 0)
+
+    @pytest.mark.parametrize(
+        "field, value, match", BAD_MANIFEST_FIELDS, ids=[f"{field}={value!r:.12}" for field, value, _ in BAD_MANIFEST_FIELDS]
+    )
+    def test_mistyped_or_out_of_range_field_rejected(self, field, value, match):
+        with pytest.raises(MediaFormatError, match=match):
+            StreamInfo.from_dict({**MANIFEST, field: value})
+
+    @pytest.mark.parametrize("field", sorted(MANIFEST))
+    def test_missing_field_rejected(self, field):
+        with pytest.raises(MediaFormatError, match=field):
+            StreamInfo.from_dict({k: v for k, v in MANIFEST.items() if k != field})
+
+    def test_directory_stream_rejects_a_coerced_manifest(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({**MANIFEST, "frame_count": "600"}))
+        with pytest.raises(MediaFormatError, match="frame_count"):
+            DirectoryFrameStream(tmp_path)

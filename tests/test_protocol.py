@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 import socket
 import struct
@@ -26,6 +27,16 @@ from scopeline.geometry import SOURCE_A, BoundingBox, ScoredBox
 from conftest import checkerboard_frame, solid_frame
 
 STUB = [sys.executable, "-m", "scopeline.backends.stub"]
+
+
+# A frame extent whose RGB8 raster is just over MAX_MESSAGE_BYTES.
+LARGE_WIDTH = protocol.MAX_MESSAGE_BYTES // 3 + 1
+
+
+def framed_header(header: dict) -> bytes:
+    """A length prefix and a JSON header, sent as is: no payload follows unless the caller adds one."""
+    text = json.dumps(header).encode("utf-8")
+    return struct.pack(">I", len(text)) + text
 
 
 class TestFraming:
@@ -57,11 +68,30 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             protocol.encode_message({"no_type": 1})
 
+    def test_round_trip_with_pixel_payload(self):
+        frame = checkerboard_frame(3, 2, index=4)
+        body = protocol.encode_blur_request(frame)
+        framed = protocol.encode_message(body)
+        assert framed.endswith(frame.pixels)
+        assert protocol.read_message(io.BytesIO(framed)) == body
+
     def test_fuzz_concatenated_stream_round_trips(self):
         rng = random.Random(17)
         for _ in range(50):
             messages = []
             for _ in range(rng.randrange(0, 10)):
+                if rng.random() < 0.5:
+                    width, height = rng.randrange(1, 40), rng.randrange(1, 40)
+                    messages.append(
+                        {
+                            "type": rng.choice(["detect", "blur"]),
+                            "frame_index": rng.randrange(0, 1 << 20),
+                            "width": width,
+                            "height": height,
+                            "pixels": rng.randbytes(3 * width * height),
+                        }
+                    )
+                    continue
                 messages.append(
                     {
                         "type": rng.choice(["detect", "detections", "blur", "blur_verdict"]),
@@ -75,6 +105,27 @@ class TestFraming:
                 assert protocol.read_message(stream) == message
             assert protocol.read_message(stream) is None
 
+    @pytest.mark.parametrize(
+        "header, payload, match",
+        [
+            ({"width": 2, "height": 2, "payload_bytes": 12}, bytes(11), "truncated pixel payload"),
+            ({"width": 2, "height": 2, "payload_bytes": 11}, bytes(11), "expected 12"),
+            ({"width": 2, "height": 2, "payload_bytes": 12.0}, bytes(12), "payload_bytes must be of type int"),
+            ({"width": 2, "height": 2, "payload_bytes": "12"}, bytes(12), "payload_bytes must be of type int"),
+            ({"width": 2, "height": 2, "payload_bytes": True}, bytes(12), "payload_bytes must be of type int"),
+            ({"width": 1, "height": 1, "payload_bytes": -3}, b"", "expected 3"),
+            ({"width": LARGE_WIDTH, "height": 1, "payload_bytes": 3 * LARGE_WIDTH}, b"", "exceeds"),
+            ({"width": 0, "height": 2, "payload_bytes": 0}, b"", "at least 1"),
+            ({"width": 2.0, "height": 2, "payload_bytes": 12}, bytes(12), "width must be of type int"),
+            ({"height": 2, "payload_bytes": 12}, bytes(12), "width"),
+        ],
+        ids=["torn", "not-3wh", "float-size", "text-size", "bool-size", "negative-size", "over-max",
+             "zero-width", "float-width", "no-width"],
+    )
+    def test_ill_declared_payload_rejected(self, header, payload, match):
+        with pytest.raises(ProtocolError, match=match):
+            protocol.read_message(io.BytesIO(framed_header({"type": "blur", "frame_index": 1, **header}) + payload))
+
     def test_trailing_garbage_detected(self):
         stream = io.BytesIO(protocol.encode_message({"type": "x"}) + b"\x00\x00\x00")
         assert protocol.read_message(stream) == {"type": "x"}
@@ -83,18 +134,43 @@ class TestFraming:
 
 
 class TestCodecs:
-    def test_detect_request_base64(self):
-        frame = solid_frame((255, 0, 0), width=1, height=1)
-        body = protocol.encode_detect_request(frame)
-        assert body["pixels_b64"] == "/wAA"
-        assert body["type"] == "detect"
-        assert (body["width"], body["height"]) == (1, 1)
+    def test_detect_request_wire_bytes(self):
+        frame = solid_frame((255, 0, 0), width=1, height=1, index=5)
+        assert protocol.encode_message(protocol.encode_detect_request(frame)) == (
+            b"\x00\x00\x00\x48"
+            b'{"type":"detect","frame_index":5,"width":1,"height":1,"payload_bytes":3}'
+            b"\xff\x00\x00"
+        )
 
     def test_frame_payload_round_trip(self):
         frame = checkerboard_frame(4, 2, index=9)
         body = protocol.encode_detect_request(frame)
         frame_index, width, height, pixels = protocol.decode_frame_payload(body)
         assert (frame_index, width, height, pixels) == (9, 4, 2, frame.pixels)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame_index", 7.9),
+            ("frame_index", True),
+            ("frame_index", "9"),
+            ("width", True),
+            ("width", 4.0),
+            ("height", 1.5),
+            ("height", None),
+            ("width", 0),
+        ],
+    )
+    def test_mistyped_frame_header_rejected_not_truncated(self, field, value):
+        body = {**protocol.encode_detect_request(checkerboard_frame(4, 2, index=9)), field: value}
+        with pytest.raises(ProtocolError, match=field):
+            protocol.decode_frame_payload(body)
+
+    @pytest.mark.parametrize("pixels", [None, "AAAA", bytes(23), bytes(25)], ids=["none", "text", "short", "long"])
+    def test_frame_request_without_its_payload_rejected(self, pixels):
+        body = {**protocol.encode_detect_request(checkerboard_frame(4, 2, index=9)), "pixels": pixels}
+        with pytest.raises(ProtocolError, match="24-byte pixel payload"):
+            protocol.decode_frame_payload(body)
 
     def test_detections_round_trip(self):
         boxes = [
@@ -114,17 +190,28 @@ class TestCodecs:
         with pytest.raises(DataFormatError, match="index 1"):
             protocol.decode_detections(body, SOURCE_A, 64, 64)
 
-    def test_mistyped_box_rejected_not_truncated(self):
+    @pytest.mark.parametrize(
+        "fields",
+        [{"x": 7.9, "w": True}, {"score": True}, {"score": "0.5"}, {"score": None}, {"score": 10**400}],
+        ids=["coordinates", "boolean-score", "text-score", "null-score", "huge-score"],
+    )
+    def test_mistyped_box_rejected_not_truncated(self, fields):
         body = {
             "type": "detections",
             "frame_index": 0,
             "boxes": [
                 {"x": 0, "y": 0, "w": 4, "h": 4, "score": 0.5},
-                {"x": 7.9, "y": 0, "w": True, "h": 4, "score": 0.5},
+                {"x": 0, "y": 0, "w": 4, "h": 4, "score": 0.5, **fields},
             ],
         }
         with pytest.raises(DataFormatError, match="index 1"):
             protocol.decode_detections(body, SOURCE_A, 64, 64)
+
+    def test_integer_score_accepted(self):
+        body = protocol.encode_detections(0, [])
+        body["boxes"] = [{"x": 0, "y": 0, "w": 4, "h": 4, "score": 1}]
+        [scored] = protocol.decode_detections(body, SOURCE_A, 64, 64)
+        assert type(scored.score) is float and scored.score == 1.0
 
     def test_box_outside_image_rejected(self):
         body = {
@@ -142,6 +229,10 @@ class TestCodecs:
     def test_blur_verdict_missing_field(self):
         with pytest.raises(ProtocolError, match="blurry"):
             protocol.decode_blur_verdict({"type": "blur_verdict", "frame_index": 4})
+
+
+def detections_with_payload(fields: dict, payload: bytes) -> bytes:
+    return framed_header({**protocol.encode_detections(7, []), "width": 8, "height": 8, **fields}) + payload
 
 
 class FakeTransport:
@@ -179,9 +270,16 @@ class TestClientResetRule:
             (detect_call, 7, struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1), BackendError),
             (detect_call, 7, struct.pack(">I", 2) + b"[]", BackendError),
             (blur_call, 7, b"\x00\x00", BackendError),
+            (detect_call, 7, detections_with_payload({"payload_bytes": 192}, bytes(10)), BackendError),
+            (detect_call, 7, detections_with_payload({"payload_bytes": 191}, bytes(191)), BackendError),
+            (detect_call, 7, detections_with_payload(
+                {"width": LARGE_WIDTH, "height": 1, "payload_bytes": 3 * LARGE_WIDTH}, b""), BackendError),
+            (detect_call, 7, detections_with_payload({"payload_bytes": 192.0}, bytes(192)), BackendError),
+            (detect_call, 7, detections_with_payload({"payload_bytes": 192}, bytes(192)), BackendError),
         ],
         ids=["wrong-echo", "missing-blur-echo", "bool-echo", "float-echo", "oversized-length",
-             "non-object-body", "torn-header"],
+             "non-object-body", "torn-header", "torn-payload", "payload-not-3wh", "oversized-payload",
+             "non-int-payload-size", "well-formed-payload"],
     )
     def test_fault_closes_the_transport(self, adapter, frame_index, reply, error):
         frame = solid_frame((0, 0, 0), width=8, height=8, index=frame_index)
