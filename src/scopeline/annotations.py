@@ -53,7 +53,7 @@ def annotation_to_dict(annotation: FrameAnnotation) -> dict:
 def annotation_from_dict(row: Mapping) -> FrameAnnotation:
     try:
         boxes = tuple(LabeledBox(box_from_dict(b), str(b.get("label", LABEL_POLYP))) for b in row["boxes"])
-        return FrameAnnotation(str(row["video_id"]), json_field(row, "frame_index", int), boxes)
+        return FrameAnnotation(json_field(row, "video_id", str), json_field(row, "frame_index", int), boxes)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad annotation row: {exc}") from exc
 

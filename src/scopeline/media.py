@@ -6,17 +6,23 @@ bit-exact and round-trips through :func:`encode_ppm` for canonical headers.
 
 The blur score is the population variance of the 4-neighbour Laplacian of
 BT.601 luma over the interior pixels (Pech-Pacheco et al., ICPR 2000),
-computed in exact integers. Luma is scaled by 1000 to
+computed exactly. Luma is scaled by 1000 to
 ``Y' = 299 R + 587 G + 114 B`` and the Laplacian
 ``L' = Y'(up) + Y'(down) + Y'(left) + Y'(right) - 4 Y'`` is 1000 times the
 Laplacian of the real-valued luma. With ``n`` interior pixels,
 ``S1 = sum L'`` and ``S2 = sum L'^2``, the variance is exactly
 ``(n S2 - S1^2) / (n^2 10^6)``, so a threshold comparison has no rounding.
 
-Nothing overflows for any frame size: ``0 <= Y' <= 255000`` and
-``|L'| <= 4 * 255000 < 2^20`` fit int32, ``L'^2 < 2^40``, and the sums are
-taken in int64 over runs of at most ``2^16`` values (each partial sum below
-``2^56``), then added as Python ints.
+Every step is exact in floating point, because every value it forms is an
+integer the format holds exactly, whatever the order of the additions (BLAS
+and fused multiply-adds included):
+
+* luma and Laplacian in float32: each product, partial sum and result is an
+  integer of magnitude at most ``4 * 255000 = 1020000 < 2^24``;
+* ``S1`` and ``S2`` in float64, over runs of ``2^13`` Laplacian values: a
+  run's sum of squares is at most ``2^13 * 1020000^2 < 8.6e15 < 2^53``.
+
+The run totals are then added as Python ints, so no frame size overflows.
 """
 
 from __future__ import annotations
@@ -98,14 +104,21 @@ def encode_ppm(width: int, height: int, pixels: bytes) -> bytes:
 
 
 class LaplacianVarianceScorer:
-    """Exact Laplacian variance of frames, by the integer rule of the module docstring.
+    """Exact Laplacian variance of frames, by the rule of the module docstring.
 
-    The int32/int64 work buffers are kept between calls and reallocated only
-    when the frame shape changes, so a stream of same-shape frames allocates
-    nothing per frame. One caller at a time.
+    The float32/float64 work buffers are kept between calls and reallocated
+    only when the frame shape changes, so a stream of same-shape frames
+    allocates nothing per frame. One caller at a time.
     """
 
-    _RUN = 1 << 16  # Laplacian values per int64 partial sum
+    # Laplacian values per float64 run: 2^13 * (4 * 255000)^2 < 2^53, so a
+    # run's sum of squares is exact in any order.
+    _RUN = 1 << 13
+    # Pixels per band of the float32 RGB copy that feeds the luma matmul. The
+    # 192 KiB band stays in a core's L2 cache; on a Xeon with 2 MiB of L2 per
+    # core, one whole-frame copy made a 384x288 frame about 0.1 ms slower.
+    _BAND = 1 << 14
+    _LUMA_WEIGHTS = np.array([299, 587, 114], np.float32)
 
     def __init__(self) -> None:
         self._shape: tuple[int, int] | None = None
@@ -116,13 +129,12 @@ class LaplacianVarianceScorer:
         # The Laplacian is taken over whole rows 1..height-2 of the flattened
         # luma; its first and last column wrap across rows and are zeroed.
         count = (height - 2) * width
-        self._luma = np.empty(height * width, np.int32)
-        self._term = np.empty(height * width, np.int32)
-        self._laplacian = np.empty(count, np.int32)
-        # Whole runs of the int64 sums; the padding past ``count`` stays zero.
+        self._rgb = np.empty((min(height * width, self._BAND), 3), np.float32)
+        self._luma = np.empty(height * width, np.float32)
+        self._laplacian = np.empty(count, np.float32)
+        # Whole runs of the float64 sums; the padding past ``count`` stays zero.
         run = min(count, self._RUN)
-        self._wide = np.zeros((-(-count // run), run), np.int64)
-        self._partial = np.empty(len(self._wide), np.int64)
+        self._wide = np.zeros((-(-count // run), run), np.float64)
         self._shape = (height, width)
 
     def variance(self, frame: Frame) -> Fraction:
@@ -130,27 +142,26 @@ class LaplacianVarianceScorer:
         height, width = frame.height, frame.width
         if self._shape != (height, width):
             self._resize(height, width)
-        rgb = np.frombuffer(frame.pixels, dtype=np.uint8)
-        luma, term, lap = self._luma, self._term, self._laplacian
+        rgb, luma, lap = self._rgb, self._luma, self._laplacian
+        pixels = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
+        band = len(rgb)
+        for start in range(0, len(luma), band):
+            part = rgb[: len(luma) - start]
+            np.copyto(part, pixels[start : start + band])
+            np.matmul(part, self._LUMA_WEIGHTS, out=luma[start : start + band])
         count = len(lap)
-        np.multiply(rgb[0::3], 299, out=luma, dtype=np.int32)
-        np.multiply(rgb[1::3], 587, out=term, dtype=np.int32)
-        luma += term
-        np.multiply(rgb[2::3], 114, out=term, dtype=np.int32)
-        luma += term
-        np.add(luma[:count], luma[2 * width :], out=lap)
+        np.multiply(luma[width : width + count], -4, out=lap)
+        lap += luma[:count]
+        lap += luma[2 * width :]
         lap += luma[width - 1 : width - 1 + count]
         lap += luma[width + 1 : width + 1 + count]
-        centre = term[:count]
-        np.left_shift(luma[width : width + count], 2, out=centre)
-        lap -= centre
         rows = lap.reshape(height - 2, width)
         rows[:, 0] = 0
         rows[:, -1] = 0
         wide = self._wide
         np.copyto(wide.reshape(-1)[:count], lap)
-        s1 = sum(np.einsum("ij->i", wide, out=self._partial).tolist())
-        s2 = sum(np.einsum("ij,ij->i", wide, wide, out=self._partial).tolist())
+        s1 = sum(map(int, np.einsum("ij->i", wide).tolist()))
+        s2 = sum(map(int, np.matmul(wide[:, None, :], wide[:, :, None]).ravel().tolist()))
         n = (height - 2) * (width - 2)
         return Fraction(n * s2 - s1 * s1, n * n * 1_000_000)
 

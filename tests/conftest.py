@@ -38,12 +38,11 @@ def solid_frame(rgb: tuple[int, int, int], width: int = 8, height: int = 8, inde
 
 
 def checkerboard_frame(width: int = 8, height: int = 8, index: int = 0, tile: int = 1) -> Frame:
-    pixels = bytearray()
-    for y in range(height):
-        for x in range(width):
-            v = 255 if (x // tile + y // tile) % 2 else 0
-            pixels += bytes((v, v, v))
-    return Frame(index, 0.0, width, height, bytes(pixels))
+    """Grey 0/255 squares of ``tile`` pixels; the top-left one is black."""
+    cols = (np.arange(width) // tile % 2).astype(np.uint8)
+    rows = (np.arange(height) // tile % 2).astype(np.uint8)
+    white = rows[:, None] ^ cols
+    return Frame(index, 0.0, width, height, np.repeat(white * 255, 3).tobytes())
 
 
 class MemoryFrameStream:

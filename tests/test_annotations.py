@@ -21,6 +21,7 @@ LOADERS = [
 ]
 
 MISTYPED_ANNOTATIONS = {
+    "integer video_id": {**ANNOTATION, "video_id": 5},
     "fractional frame_index": {**ANNOTATION, "frame_index": 2.7},
     "boolean frame_index": {**ANNOTATION, "frame_index": True},
     "fractional box x": {**ANNOTATION, "boxes": [{"x": 0.99, "y": 2, "w": 3, "h": 4}]},

@@ -231,11 +231,39 @@ class TestExactScorer:
         # The float oracle rounds ~n terms in float64; 1e-12 relative is far above its error.
         assert float(score) == pytest.approx(laplacian_variance(luma(frame)), rel=1e-12, abs=1e-9)
 
-    def test_sums_span_several_int64_runs(self):
-        # 258 x 260 = 67,080 interior values: more than one 2^16-value partial sum.
+    def test_sums_span_several_float64_runs(self):
+        # 258 rows of 262 Laplacian values (67,596, the wrapped columns included): more than
+        # eight 2^13-value float64 runs.
         rng = np.random.default_rng(3)
         for frame in (random_frame(rng, 262, 260), checkerboard_frame(262, 260)):
             assert LaplacianVarianceScorer().variance(frame) == fraction_laplacian_variance(frame)
+
+    # Either side of one 2^13-value float64 run: frames 3 high hold ``width`` Laplacian values
+    # (2^13 - 1 to 2^13 + 1 for widths 8191-8193) and ``width - 2`` interior pixels (2^13 - 1 to
+    # 2^13 + 1 for widths 8193-8195); 130x66 has 2^13 interior pixels, 2733x5 has 2^13 + 1.
+    # Either side of one 2^14-pixel RGB band: 127x129, 128x128 and 113x145.
+    @pytest.mark.parametrize(
+        "width, height",
+        [(w, 3) for w in range(8191, 8196)] + [(3, 8193), (130, 66), (2733, 5), (127, 129), (128, 128), (113, 145)],
+        ids=str,
+    )
+    def test_counts_at_the_run_and_band_bounds(self, width, height):
+        frame = random_frame(np.random.default_rng(width * height), width, height)
+        assert LaplacianVarianceScorer().variance(frame) == fraction_laplacian_variance(frame)
+
+    @pytest.mark.parametrize("width, height", [(1920, 1080), (3840, 2160), (1921, 1081)])
+    def test_maximal_contrast_checkerboard_matches_the_closed_form(self, width, height):
+        # Every interior L' of a 0/255 checkerboard is +-4 * 255000: + on black, - on white. So
+        # S2 = n * 1020000^2, S1 = 1020000 * (black - white), and each full float64 run's sum of
+        # squares sits at its bound, 2^13 * 1020000^2.
+        frame = checkerboard_frame(width, height)
+        # Interior pixel (x, y) is white when x + y is odd; x runs over 1..width-2.
+        odd_x, odd_y = (width - 1) // 2, (height - 1) // 2
+        even_x, even_y = width - 2 - odd_x, height - 2 - odd_y
+        white = odd_x * even_y + even_x * odd_y
+        n = (width - 2) * (height - 2)
+        s1, s2 = 1_020_000 * (n - 2 * white), n * 1_020_000**2
+        assert LaplacianVarianceScorer().variance(frame) == Fraction(n * s2 - s1 * s1, n * n * 1_000_000)
 
     @pytest.mark.parametrize("frame", scorer_frames(), ids=frame_id)
     def test_verdict_is_exact_at_the_threshold_edge(self, frame):
