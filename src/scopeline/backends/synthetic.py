@@ -54,6 +54,8 @@ class SyntheticDetectorConfig:
     fp_score_range: tuple[float, float] = (0.05, 0.6)
     simulated_latency_ms: float = 0.0
 
+    KIND = "synthetic"  # a detector spec's "kind" in config files
+
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_tp <= 1.0:
             raise ConfigError(f"p_tp must lie in [0, 1], got {self.p_tp}")

@@ -1,7 +1,8 @@
 """Operator entry point: run pipelines, evaluate results, generate fixtures.
 
-``run`` takes every detection parameter from its config file; a run's
-manifest records that config, so ``run --config <manifest>`` replays the run.
+``run`` takes every detection parameter from its config file and records it
+in a :class:`RunManifest`, the ``manifest.json`` that ``run --config`` replays
+and ``eval`` reads.
 
 Exit codes: 0 success, 1 any other scopeline error (such as a backend that
 cannot start), 2 configuration error, 3 input-data error. Output files are
@@ -18,11 +19,13 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
 from .annotations import annotations_by_frame, load_annotations
+from .codec import from_json, read_json, to_json
 from .datagen import DatasetSpec, write_dataset
 from .errors import ConfigError, DataFormatError, MediaFormatError, ScopelineError
 from .evaluation import (
@@ -62,37 +65,40 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, lambda p: p.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8"))
 
 
-def _load_json(path: Path, what: str) -> dict:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+@dataclass(frozen=True)
+class RecordedStream(StreamInfo):
+    """The input stream of a run, with the frame directory it was read from."""
+
+    path: str
 
 
-def _load_run_config(config_path: Path) -> tuple[PipelineConfig, dict]:
-    """Load a pipeline config; a run manifest also yields what its run was given.
+@dataclass(frozen=True)
+class RunManifest:
+    """A run's ``manifest.json``: what ``run --config`` replays and ``eval`` reads."""
 
-    The second value maps ``input``, ``fps`` and ``annotations`` to the values a
-    manifest recorded (None where it recorded none); it is empty for a plain
-    config.
-    """
+    tool: str
+    version: str
+    config: PipelineConfig
+    input: RecordedStream
+    annotations: str | None
+
+    RETIRED_KEYS = ("seeds",)  # a copy of the synthetic detectors' seeds, held by the config
+
+
+def _load_run_config(config_path: Path) -> tuple[PipelineConfig, RunManifest | None]:
+    """The pipeline config of a config file, and the run manifest when the file is one."""
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
-    try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict) and "config" in raw and "input" in raw:
-        recorded_input = raw["input"] if isinstance(raw["input"], dict) else {}
-        recorded = {
-            "input": recorded_input.get("path"),
-            "fps": recorded_input.get("fps"),
-            "annotations": raw.get("annotations"),
-        }
-        if recorded["fps"] is not None and not isinstance(recorded["fps"], (int, float)):
-            raise ConfigError(f"manifest {config_path} records a non-numeric fps {recorded['fps']!r}")
-        return PipelineConfig.from_dict(raw["config"]), recorded
-    return PipelineConfig.from_dict(raw), {}
+    raw = read_json(config_path)
+    if isinstance(raw, dict) and "config" in raw:
+        manifest = from_json(RunManifest, raw, "manifest")
+        return manifest.config, manifest
+    return from_json(PipelineConfig, raw, "config"), None
+
+
+def _check_fps(fps: float | None) -> None:
+    if fps is not None and not 0.0 < fps < math.inf:
+        raise ConfigError(f"--fps must be positive and finite, got {fps}")
 
 
 def _discover_annotations(input_dir: Path, explicit: str | None) -> Path | None:
@@ -112,18 +118,20 @@ def _discover_annotations(input_dir: Path, explicit: str | None) -> Path | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _check_fps(args.fps)
     config, recorded = _load_run_config(Path(args.config))
+    # A replayed manifest supplies what the flags leave out.
+    input_path = args.input or (recorded.input.path if recorded else None)
+    fps = args.fps if args.fps is not None or not recorded else recorded.input.fps
+    annotations = args.annotations if args.annotations is not None or not recorded else recorded.annotations
 
-    input_path = args.input or recorded.get("input")
     if not input_path:
         raise ConfigError("no input directory: pass --input or replay a run manifest")
     input_dir = Path(input_path)
     if not input_dir.is_dir():
         raise MediaFormatError(f"input frame directory not found: {input_dir}")
-    fps = args.fps if args.fps is not None else recorded.get("fps")
     stream = DirectoryFrameStream(input_dir, fps_override=fps)
 
-    annotations = args.annotations if args.annotations is not None else recorded.get("annotations")
     annotations_path = _discover_annotations(input_dir, annotations)
     truth = {}
     if annotations_path is not None:
@@ -146,14 +154,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     _atomic_write(out / RESULTS_NAME, write_rows)
     summary = summaries[0]
 
-    manifest = {
-        "tool": "scopeline",
-        "version": __version__,
-        "config": config.to_dict(),
-        "input": {"path": str(input_dir), **stream.info.to_dict()},
-        "annotations": str(annotations_path) if annotations_path else None,
-    }
-    _atomic_write_json(out / MANIFEST_NAME, manifest)
+    recorded_input = RecordedStream(**asdict(stream.info), path=str(input_dir))
+    annotations = str(annotations_path) if annotations_path else None
+    manifest = RunManifest("scopeline", __version__, config, recorded_input, annotations)
+    _atomic_write_json(out / MANIFEST_NAME, to_json(manifest))
     _atomic_write_json(out / LATENCY_REPORT_NAME, summary.latency)
 
     fps = summary.latency["throughput_fps"]
@@ -175,18 +179,10 @@ def _results_source(entry: str) -> tuple[Path, Path | None]:
     return path, manifest if manifest.is_file() else None
 
 
-def _recorded_stream(manifest_path: Path) -> StreamInfo:
-    """The input stream a run manifest records; MediaFormatError if it records none."""
-    manifest = _load_json(manifest_path, "run manifest")
-    try:
-        return StreamInfo.from_dict(manifest["input"])
-    except (KeyError, TypeError, MediaFormatError) as exc:
-        raise MediaFormatError(f"run manifest {manifest_path} records no valid input stream: {exc}") from exc
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    if not 0.0 < args.fps < math.inf:
-        raise ConfigError(f"--fps must be positive and finite, got {args.fps}")
+    _check_fps(args.fps)
+    if args.merge_window < 0:
+        raise ConfigError(f"--merge-window must be non-negative, got {args.merge_window}")
     match_cfg = MatchConfig(criterion=args.match, iou_match_threshold=args.match_threshold)
     annotations = load_annotations(Path(args.annotations))
 
@@ -197,7 +193,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataFormatError(f"results file not found: {results_path}")
         results = load_results(results_path)
         if manifest_path is not None:
-            info = _recorded_stream(manifest_path)
+            try:
+                info = from_json(RunManifest, read_json(manifest_path, DataFormatError), "manifest").input
+            except ConfigError as exc:
+                raise DataFormatError(f"{manifest_path}: {exc}") from exc
             video_id, fps, frame_count = info.video_id, info.fps, info.frame_count
         else:
             video_id = results_path.parent.name or f"run-{index:03d}"

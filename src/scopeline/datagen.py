@@ -10,12 +10,14 @@ video, so a fixed seed reproduces the dataset byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .annotations import FrameAnnotation, LabeledBox, save_annotations
+from .codec import to_json
 from .errors import ConfigError
 from .geometry import BoundingBox, iou
 from .media import Frame, StreamInfo, encode_ppm, frame_filename
@@ -51,8 +53,8 @@ class DatasetSpec:
             raise ConfigError(f"blur_fraction must lie in [0, 1], got {self.blur_fraction}")
         if self.width < 16 or self.height < 16:
             raise ConfigError(f"frames must be at least 16x16, got {self.width}x{self.height}")
-        if self.fps <= 0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
+        if not 0.0 < self.fps < math.inf:
+            raise ConfigError(f"fps must be positive and finite, got {self.fps}")
         lo, hi = self.polyp_edge_range
         if not 1 <= lo <= hi:
             raise ConfigError(f"polyp_edge_range must satisfy 1 <= lo <= hi, got {self.polyp_edge_range}")
@@ -163,16 +165,8 @@ def write_dataset(spec: DatasetSpec, out_dir: str | Path) -> list[Path]:
         plans = plan_video(spec, video_index)
         video_dir = videos_dir / video_id_for(video_index)
         video_dir.mkdir(parents=True, exist_ok=True)
-        info = StreamInfo(
-            video_id=video_id_for(video_index),
-            fps=spec.fps,
-            width=spec.width,
-            height=spec.height,
-            frame_count=spec.frames_per_video,
-        )
-        (video_dir / "manifest.json").write_text(
-            json.dumps(info.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        info = StreamInfo(video_id_for(video_index), spec.fps, spec.width, spec.height, spec.frames_per_video)
+        (video_dir / "manifest.json").write_text(json.dumps(to_json(info), indent=2) + "\n", encoding="utf-8")
         for plan in plans:
             frame = render_frame(plan, spec)
             path = video_dir / frame_filename(plan.frame_index)

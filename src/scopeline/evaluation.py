@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .annotations import FrameAnnotation
+from .codec import to_json
 from .errors import ConfigError
 from .geometry import LABEL_POLYP, BoundingBox, ScoredBox, iou
 
@@ -117,9 +118,6 @@ class PrfMetrics:
     recall: float | None
     f1: float | None
     f2: float | None
-
-    def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1, "f2": self.f2}
 
 
 def prf(counts: ConfusionCounts) -> PrfMetrics:
@@ -247,12 +245,9 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "match": {
-                "criterion": self.match_config.criterion,
-                "iou_match_threshold": self.match_config.iou_match_threshold,
-            },
-            "counts": {"tp": self.counts.tp, "fp": self.counts.fp, "fn": self.counts.fn},
-            **self.metrics.to_dict(),
+            "match": to_json(self.match_config),
+            "counts": to_json(self.counts),
+            **to_json(self.metrics),
             "clips": {
                 "total": len(self.clip_records),
                 "detected": sum(1 for r in self.clip_records if r.detection_frame is not None),

@@ -27,7 +27,6 @@ The run totals are then added as Python ints, so no frame size overflows.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -36,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import from_json, read_json
 from .errors import MediaFormatError
-from .geometry import JSON_NUMBER, json_field
 
 DEFAULT_BLUR_THRESHOLD = 100.0
 
@@ -192,28 +191,6 @@ class StreamInfo:
         if self.frame_count < 0:
             raise MediaFormatError(f"stream frame_count must be non-negative, got {self.frame_count}")
 
-    def to_dict(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "fps": self.fps,
-            "width": self.width,
-            "height": self.height,
-            "frame_count": self.frame_count,
-        }
-
-    @classmethod
-    def from_dict(cls, row: dict) -> StreamInfo:
-        try:
-            return cls(
-                video_id=json_field(row, "video_id", str),
-                fps=float(json_field(row, "fps", JSON_NUMBER)),
-                width=json_field(row, "width", int),
-                height=json_field(row, "height", int),
-                frame_count=json_field(row, "frame_count", int),
-            )
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise MediaFormatError(f"bad stream manifest: {exc}") from exc
-
 
 def frame_filename(frame_index: int) -> str:
     return f"{frame_index:06d}.ppm"
@@ -230,11 +207,7 @@ class DirectoryFrameStream:
         manifest_path = self.directory / MANIFEST_NAME
         if not manifest_path.is_file():
             raise MediaFormatError(f"missing stream manifest: {manifest_path}")
-        try:
-            raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise MediaFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-        info = StreamInfo.from_dict(raw)
+        info = from_json(StreamInfo, read_json(manifest_path, MediaFormatError), "manifest", MediaFormatError)
         if fps_override is not None:
             info = replace(info, fps=fps_override)
         self.info = info

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from types import UnionType
-from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence
 
 from .annotations import FrameAnnotation, load_jsonl
 from .backends.base import BlurGate, DetectorBackend, HeuristicBlurGate
@@ -35,6 +34,7 @@ from .backends.external import (
     TcpTransport,
 )
 from .backends.synthetic import SyntheticDetector, SyntheticDetectorConfig
+from .codec import from_json
 from .ensemble import MODE_SIZE_AWARE, EnsembleConfig, and_ensemble, size_aware_ensemble
 from .errors import ConfigError, DataFormatError, ScopelineError
 from .geometry import JSON_NUMBER, SOURCE_A, SOURCE_B, ScoredBox, box_from_dict, box_to_dict, json_field
@@ -65,6 +65,8 @@ class ExternalBackendSpec:
     command: tuple[str, ...] = ()
     host: str = "127.0.0.1"
     port: int = 0
+
+    KIND = "external"  # a detector spec's "kind" in config files
 
     def __post_init__(self) -> None:
         if self.transport not in (TRANSPORT_SUBPROCESS, TRANSPORT_TCP):
@@ -108,80 +110,10 @@ class PipelineConfig:
                 f"execution must be 'sequential' or 'parallel', got {self.execution!r}"
             )
 
-    def to_dict(self) -> dict:
-        return _config_to_dict(self)
-
     @classmethod
     def from_dict(cls, raw: Mapping) -> PipelineConfig:
-        return _config_from_json(cls, raw, "config")
-
-
-# Value of a detector's "kind" key in config files, per spec type.
-_DETECTOR_KINDS = {"synthetic": SyntheticDetectorConfig, "external": ExternalBackendSpec}
-
-
-def _config_to_dict(config) -> dict:
-    """JSON form of a config dataclass: one key per field, nested configs as objects."""
-    hints = get_type_hints(type(config))
-    out = {}
-    for field in fields(config):
-        value = getattr(config, field.name)
-        if hints[field.name] == DetectorSpec:
-            kind = next(k for k, spec_type in _DETECTOR_KINDS.items() if isinstance(value, spec_type))
-            value = {"kind": kind, **_config_to_dict(value)}
-        elif is_dataclass(value):
-            value = _config_to_dict(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[field.name] = value
-    return out
-
-
-def _config_from_json(value_type, raw, where: str):
-    """Inverse of :func:`_config_to_dict` for a value of ``value_type``.
-
-    An absent key takes the field default. Every malformed input, a NaN or
-    infinite float included, raises ConfigError naming where it is.
-    """
-    if value_type == DetectorSpec:
-        if not isinstance(raw, Mapping) or "kind" not in raw:
-            raise ConfigError(f"{where} must be an object with a 'kind' field")
-        spec = dict(raw)
-        kind = spec.pop("kind")
-        if kind not in _DETECTOR_KINDS:
-            raise ConfigError(f"{where}.kind must be one of {sorted(_DETECTOR_KINDS)}, got {kind!r}")
-        return _config_from_json(_DETECTOR_KINDS[kind], spec, where)
-    if get_origin(value_type) is UnionType:  # an optional nested config
-        return None if raw is None else _config_from_json(get_args(value_type)[0], raw, where)
-    if is_dataclass(value_type):
-        if not isinstance(raw, Mapping):
-            raise ConfigError(f"{where} must be a JSON object")
-        unknown = set(raw) - {field.name for field in fields(value_type)}
-        if unknown:
-            raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-        missing = [f.name for f in fields(value_type) if f.name not in raw and f.default is MISSING]
-        if missing:
-            raise ConfigError(f"{where} lacks required keys {missing}")
-        hints = get_type_hints(value_type)
-        return value_type(
-            **{name: _config_from_json(hints[name], value, f"{where}.{name}") for name, value in raw.items()}
-        )
-    if get_origin(value_type) is tuple:
-        item_types = get_args(value_type)
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigError(f"{where} must be a JSON array, got {raw!r}")
-        if item_types[-1] is Ellipsis:
-            item_types = (item_types[0],) * len(raw)
-        elif len(raw) != len(item_types):
-            raise ConfigError(f"{where} must hold {len(item_types)} values, got {raw!r}")
-        return tuple(_config_from_json(t, item, where) for t, item in zip(item_types, raw))
-    try:
-        value = value_type(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if value_type is float and not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {raw!r}")
-    return value
+        """The config of a JSON object; ConfigError on any fault."""
+        return from_json(cls, raw, "config")
 
 
 @dataclass(frozen=True)

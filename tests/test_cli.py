@@ -71,6 +71,14 @@ def test_bad_config_exits_2(tmp_path, dataset, config):
     assert not (tmp_path / "out" / "results.jsonl").exists()
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, dataset, capsys):
+    (tmp_path / "config.json").write_bytes(b"\xff{}")
+    code = cli.main(["run", "--config", str(tmp_path / "config.json"),
+                     "--input", str(dataset / "videos" / "video-000"), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_jitter_past_its_bound_exits_2(tmp_path, dataset, capsys):
     config = {**CONFIG, "detector_a": {"kind": "synthetic", "seed": 1, "jitter_px": 1.7e308}}
     assert run(tmp_path, dataset, config=config) == 2
@@ -93,6 +101,11 @@ def test_missing_input_directory_exits_3(tmp_path, dataset):
 
 def test_corrupt_stream_manifest_exits_3(tmp_path, dataset):
     (dataset / "videos" / "video-000" / "manifest.json").write_text("{", encoding="utf-8")
+    assert run(tmp_path, dataset) == 3
+
+
+def test_stream_manifest_that_is_not_utf8_exits_3(tmp_path, dataset):
+    (dataset / "videos" / "video-000" / "manifest.json").write_bytes(b"\xff{}")
     assert run(tmp_path, dataset) == 3
 
 
@@ -176,27 +189,53 @@ def write_manifest(run_dir: Path, edit) -> None:
     path.write_text(json.dumps(edit(manifest)), encoding="utf-8")
 
 
-def set_input(key, value):
+def set_at(path: str, value):
+    """An edit that sets the manifest's dotted key ``path`` to ``value``."""
     def edit(manifest):
-        manifest["input"][key] = value
+        *parents, leaf = path.split(".")
+        node = manifest
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
         return manifest
     return edit
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        set_input("fps", "fast"),
-        set_input("fps", 0),
-        set_input("frame_count", "many"),
-        set_input("width", 7.9),
-        lambda manifest: {k: v for k, v in manifest.items() if k != "input"},
-        lambda manifest: {**manifest, "input": [manifest["input"]]},
-        lambda manifest: [manifest],
-    ],
-    ids=["non-numeric-fps", "zero-fps", "non-numeric-frame-count", "fractional-width", "no-input",
-         "input-not-an-object", "not-an-object"],
-)
+# A type or shape fault in a run manifest; replaying it is a config error.
+MANIFEST_FAULTS = {
+    "non-numeric-fps": set_at("input.fps", "fast"),
+    "boolean-fps": set_at("input.fps", True),
+    "non-numeric-frame-count": set_at("input.frame_count", "many"),
+    "fractional-width": set_at("input.width", 7.9),
+    "numeric-path": set_at("input.path", 5),
+    "input-of-only-a-numeric-path": set_at("input", {"path": 5}),
+    "numeric-annotations": set_at("annotations", 5),
+    "fractional-seed": set_at("config.detector_a.seed", 7.9),
+    "unknown-key": set_at("bogus", 1),
+    "no-input": lambda manifest: {k: v for k, v in manifest.items() if k != "input"},
+    "input-not-an-object": lambda manifest: {**manifest, "input": [manifest["input"]]},
+}
+
+
+@pytest.mark.parametrize("edit", list(MANIFEST_FAULTS.values()), ids=list(MANIFEST_FAULTS))
+def test_replay_of_a_bad_run_manifest_exits_2(tmp_path, dataset, capsys, edit):
+    assert run(tmp_path, dataset) == 0
+    write_manifest(tmp_path / "out", edit)
+    replay = tmp_path / "replay"
+    assert cli.main(["run", "--config", str(tmp_path / "out" / "manifest.json"), "--output", str(replay)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not replay.exists()
+
+
+EVAL_MANIFEST_FAULTS = {
+    **MANIFEST_FAULTS,
+    "zero-fps": set_at("input.fps", 0),
+    "bad-execution": set_at("config.execution", "distributed"),
+    "not-an-object": lambda manifest: [manifest],
+}
+
+
+@pytest.mark.parametrize("edit", list(EVAL_MANIFEST_FAULTS.values()), ids=list(EVAL_MANIFEST_FAULTS))
 def test_eval_of_a_bad_run_manifest_exits_3(tmp_path, dataset, edit):
     assert run(tmp_path, dataset) == 0
     write_manifest(tmp_path / "out", edit)
@@ -207,6 +246,92 @@ def test_eval_of_a_bad_run_manifest_exits_3(tmp_path, dataset, edit):
     assert not metrics.exists()
 
 
+# A run manifest exactly as this version wrote it before its codec, for the
+# dataset under ROOT; versions before it also wrote a "seeds" key.
+EARLIER_MANIFEST = """{
+  "tool": "scopeline",
+  "version": "0.1.0",
+  "config": {
+    "detector_a": {
+      "kind": "synthetic",
+      "seed": 1,
+      "p_tp": 1.0,
+      "fp_rate": 0.0,
+      "jitter_px": 0.0,
+      "tp_score_range": [
+        0.6,
+        1.0
+      ],
+      "fp_score_range": [
+        0.05,
+        0.6
+      ],
+      "simulated_latency_ms": 0.0
+    },
+    "detector_b": {
+      "kind": "synthetic",
+      "seed": 2,
+      "p_tp": 1.0,
+      "fp_rate": 0.0,
+      "jitter_px": 0.0,
+      "tp_score_range": [
+        0.6,
+        1.0
+      ],
+      "fp_score_range": [
+        0.05,
+        0.6
+      ],
+      "simulated_latency_ms": 0.0
+    },
+    "gate": {
+      "kind": "heuristic",
+      "threshold": 100.0,
+      "simulated_latency_ms": 0.0,
+      "external": null
+    },
+    "ensemble": {
+      "iou_threshold": 0.1,
+      "mode": "and",
+      "short_edge_ratio_threshold": 0.1
+    },
+    "execution": "sequential"
+  },
+  "input": {
+    "path": "ROOT/videos/video-000",
+    "video_id": "video-000",
+    "fps": 60.0,
+    "width": 32,
+    "height": 24,
+    "frame_count": 8
+  },
+  "annotations": "ROOT/annotations.jsonl"
+}
+"""
+SEEDS = '  "seeds": {"detector_a": 1, "detector_b": 2},\n'
+
+
+@pytest.mark.parametrize("seeds", ["", SEEDS], ids=["as-written", "with-seeds"])
+def test_a_manifest_as_earlier_versions_wrote_it_replays_and_evaluates(tmp_path, dataset, seeds):
+    text = EARLIER_MANIFEST.replace("ROOT", str(dataset)).replace('  "annotations"', seeds + '  "annotations"')
+    earlier = tmp_path / "earlier"
+    earlier.mkdir()
+    (earlier / "manifest.json").write_text(text, encoding="utf-8")
+    assert run(tmp_path, dataset) == 0
+    out = tmp_path / "out"
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8")) == json.loads(EARLIER_MANIFEST.replace("ROOT", str(dataset)))
+
+    replay = tmp_path / "replay"
+    assert cli.main(["run", "--config", str(earlier / "manifest.json"), "--output", str(replay)]) == 0
+    assert (replay / "results.jsonl").read_bytes() == (out / "results.jsonl").read_bytes()
+
+    (earlier / "results.jsonl").write_bytes((out / "results.jsonl").read_bytes())
+    for results, metrics in ((out, tmp_path / "metrics"), (earlier, tmp_path / "earlier-metrics")):
+        assert cli.main(["eval", "--results", str(results), "--annotations", str(dataset / "annotations.jsonl"),
+                         "--output", str(metrics)]) == 0
+    assert (tmp_path / "earlier-metrics" / "metrics.json").read_bytes() == (tmp_path / "metrics" / "metrics.json").read_bytes()
+
+
 def test_eval_rejects_a_non_positive_fps_fallback(tmp_path, dataset):
     assert run(tmp_path, dataset) == 0
     (tmp_path / "out" / "manifest.json").unlink()
@@ -215,6 +340,34 @@ def test_eval_rejects_a_non_positive_fps_fallback(tmp_path, dataset):
                      "--annotations", str(dataset / "annotations.jsonl"), "--output", str(metrics)])
     assert code == 2
     assert not metrics.exists()
+
+
+@pytest.mark.parametrize("fps", ["0", "-1", "nan", "inf"])
+def test_run_rejects_a_non_positive_or_non_finite_fps(tmp_path, dataset, capsys, fps):
+    assert run(tmp_path, dataset, "--fps", fps) == 2
+    assert "--fps must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_a_negative_merge_window_before_reading_a_file(tmp_path, capsys):
+    metrics = tmp_path / "metrics"
+    code = cli.main(["eval", "--results", str(tmp_path / "absent"), "--merge-window", "-1",
+                     "--annotations", str(tmp_path / "absent.jsonl"), "--output", str(metrics)])
+    assert code == 2
+    assert "--merge-window must be non-negative" in capsys.readouterr().err
+    assert not metrics.exists()
+
+
+def test_eval_rejects_a_negative_merge_window_for_a_video_without_polyps(tmp_path, capsys):
+    write_dataset(DatasetSpec(frames_per_video=4, polyps_per_video=0, width=32, height=24,
+                              polyp_edge_range=(4, 12)), tmp_path / "dataset")
+    config_path = write_config(tmp_path / "config.json", CONFIG)
+    assert cli.main(["run", "--config", str(config_path), "--input", str(tmp_path / "dataset" / "videos" / "video-000"),
+                     "--output", str(tmp_path / "out")]) == 0
+    code = cli.main(["eval", "--results", str(tmp_path / "out"), "--merge-window", "-1",
+                     "--annotations", str(tmp_path / "dataset" / "annotations.jsonl"), "--output", str(tmp_path / "metrics")])
+    assert code == 2
+    assert "--merge-window must be non-negative" in capsys.readouterr().err
 
 
 def test_bench_is_not_a_command(capsys):
@@ -276,6 +429,14 @@ def gen_synthetic(out: Path, seed: int) -> dict[str, str]:
                      "--polyp-edge-range", "4,12", "--stagger"])
     assert code == 0
     return tree_digest(out)
+
+
+@pytest.mark.parametrize("fps", ["0", "nan", "inf"])
+def test_gen_synthetic_rejects_a_non_positive_or_non_finite_fps(tmp_path, capsys, fps):
+    out = tmp_path / "dataset"
+    assert cli.main(["gen-synthetic", "--out", str(out), "--fps", fps]) == 2
+    assert "fps must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_synthetic_is_byte_identical_for_a_seed(tmp_path):

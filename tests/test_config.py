@@ -1,4 +1,4 @@
-"""Pipeline config dict codec: round trips, rejections, and old manifests."""
+"""Pipeline config JSON codec: round trips, rejections, and old manifests."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import json
 import pytest
 
 from scopeline.backends.synthetic import MAX_FP_RATE, MAX_JITTER_PX, SyntheticDetectorConfig
+from scopeline.codec import to_json
 from scopeline.ensemble import EnsembleConfig
 from scopeline.errors import ConfigError
 from scopeline.pipeline import ExternalBackendSpec, GateConfig, PipelineConfig
@@ -45,7 +46,7 @@ EXECUTIONS = ["sequential", "parallel"]
 def test_round_trip_every_combination():
     for gate, a, b, ensemble, execution in itertools.product(GATES, DETECTORS, DETECTORS, ENSEMBLES, EXECUTIONS):
         config = PipelineConfig(a, b, gate, ensemble, execution)
-        assert PipelineConfig.from_dict(config.to_dict()) == config
+        assert PipelineConfig.from_dict(to_json(config)) == config
 
 
 # Config sections exactly as earlier versions wrote them into run manifests.
@@ -182,6 +183,15 @@ REJECTED = {
     "infinite detector simulated latency": edit("detector_a.simulated_latency_ms", float("inf")),
     "NaN spelled as a string": edit("gate.threshold", "nan"),
     "float overflowing to infinity": edit("gate.threshold", "1e400"),
+    "fractional seed": edit("detector_a.seed", 7.9),
+    "boolean seed": edit("detector_a.seed", True),
+    "p_tp spelled as a string": edit("detector_a.p_tp", "0.5"),
+    "boolean gate threshold": edit("gate.threshold", True),
+    "fractional tcp port": edit("gate.external.port", 4000.9),
+    "boolean tcp port": edit("gate.external.port", True),
+    "numeric host": edit("gate.external.host", 5),
+    "command of numbers": edit("detector_b.command", [1, 2]),
+    "detector kind not a string": edit("detector_a.kind", ["synthetic"]),
 }
 
 
@@ -189,6 +199,21 @@ REJECTED = {
 def test_invalid_config_raises_config_error(raw):
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("detector_a.seed", 7.9, "config.detector_a.seed must be of type int, got 7.9"),
+        ("detector_a.p_tp", "0.5", "config.detector_a.p_tp must be of type int or float, got '0.5'"),
+        ("gate.external.port", True, "config.gate.external.port must be of type int, got True"),
+        ("detector_b.command", ["stub", 2], "config.detector_b.command[1] must be of type str, got 2"),
+    ],
+)
+def test_a_mistyped_leaf_is_named_by_its_path(path, value, message):
+    with pytest.raises(ConfigError) as raised:
+        PipelineConfig.from_dict(edit(path, value))
+    assert str(raised.value) == message
 
 
 def test_valid_base_loads():

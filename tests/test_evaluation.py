@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from scopeline.annotations import FrameAnnotation, LabeledBox
+from scopeline.codec import to_json
 from scopeline.evaluation import (
     ClipRecord,
     ConfusionCounts,
@@ -115,7 +116,7 @@ class TestPrf:
         ],
     )
     def test_undefined_metrics_are_none(self, counts, expected):
-        assert prf(counts).to_dict() == expected
+        assert to_json(prf(counts)) == expected
 
 
 class TestEcdf:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from scopeline.backends.base import HeuristicBlurGate
+from scopeline.codec import from_json, to_json
 from scopeline.errors import MediaFormatError
 from scopeline.media import (
     DirectoryFrameStream,
@@ -378,7 +379,7 @@ BAD_MANIFEST_FIELDS = [
     ("fps", None, "fps must be of type int or float"),
     ("fps", 0, "fps must be positive"),
     ("fps", -1.5, "fps must be positive"),
-    ("fps", math.inf, "fps must be positive"),
+    ("fps", math.inf, "fps must be a finite number"),
     ("fps", 10**400, "too large"),
     ("width", 7.9, "width must be of type int"),
     ("width", 0, "width and height must be at least 1"),
@@ -390,13 +391,17 @@ BAD_MANIFEST_FIELDS = [
 ]
 
 
+def load_manifest(raw) -> StreamInfo:
+    return from_json(StreamInfo, raw, "manifest", MediaFormatError)
+
+
 class TestStreamManifest:
     def test_loads_exact_values(self):
-        assert StreamInfo.from_dict(MANIFEST) == StreamInfo("vid", 60.0, 384, 288, 600)
-        assert StreamInfo.from_dict(MANIFEST).to_dict() == MANIFEST
+        assert load_manifest(MANIFEST) == StreamInfo("vid", 60.0, 384, 288, 600)
+        assert to_json(load_manifest(MANIFEST)) == MANIFEST
 
     def test_integer_fps_and_empty_stream_accepted(self):
-        info = StreamInfo.from_dict({**MANIFEST, "fps": 25, "frame_count": 0})
+        info = load_manifest({**MANIFEST, "fps": 25, "frame_count": 0})
         assert (info.fps, type(info.fps), info.frame_count) == (25.0, float, 0)
 
     @pytest.mark.parametrize(
@@ -404,12 +409,12 @@ class TestStreamManifest:
     )
     def test_mistyped_or_out_of_range_field_rejected(self, field, value, match):
         with pytest.raises(MediaFormatError, match=match):
-            StreamInfo.from_dict({**MANIFEST, field: value})
+            load_manifest({**MANIFEST, field: value})
 
     @pytest.mark.parametrize("field", sorted(MANIFEST))
     def test_missing_field_rejected(self, field):
         with pytest.raises(MediaFormatError, match=field):
-            StreamInfo.from_dict({k: v for k, v in MANIFEST.items() if k != field})
+            load_manifest({k: v for k, v in MANIFEST.items() if k != field})
 
     def test_directory_stream_rejects_a_coerced_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({**MANIFEST, "frame_count": "600"}))
