@@ -61,18 +61,17 @@ def annotation_from_dict(row: Mapping) -> FrameAnnotation:
 def load_jsonl(path: str | Path, parse_row: Callable[[object], T]) -> list[T]:
     """``parse_row`` applied to each non-blank line of a JSON Lines file.
 
-    Invalid JSON, and a row that ``parse_row`` rejects with DataFormatError,
-    raise DataFormatError naming ``path:lineno``.
+    A line that is not UTF-8 or not JSON, and a row that ``parse_row``
+    rejects with DataFormatError, raise DataFormatError naming ``path:lineno``.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                rows.append(parse_row(json.loads(line)))
-            except json.JSONDecodeError as exc:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    rows.append(parse_row(json.loads(line)))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             except DataFormatError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc

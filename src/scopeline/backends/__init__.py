@@ -1,13 +1,7 @@
 """Detector and blur-gate backends: synthetic simulation and external processes."""
 
 from .base import BlurGate, DetectorBackend, HeuristicBlurGate
-from .external import (
-    ExternalBlurGate,
-    ExternalClient,
-    ExternalDetectorBackend,
-    SubprocessTransport,
-    TcpTransport,
-)
+from .external import ExternalBlurGate, ExternalClient, ExternalDetectorBackend, SocketTransport
 from .synthetic import SyntheticDetector, SyntheticDetectorConfig, synthetic_detect
 
 __all__ = [
@@ -17,8 +11,7 @@ __all__ = [
     "ExternalBlurGate",
     "ExternalClient",
     "ExternalDetectorBackend",
-    "SubprocessTransport",
-    "TcpTransport",
+    "SocketTransport",
     "SyntheticDetector",
     "SyntheticDetectorConfig",
     "synthetic_detect",

@@ -1,12 +1,18 @@
 """Clients for external-process backends speaking the framed wire protocol.
 
-Transport is a local byte stream: either the standard streams of a child
-process or a TCP socket. Requests on one connection are serialized, and
-every response must echo its request's ``frame_index`` as a JSON integer.
-:meth:`ExternalClient.request` alone decides when to distrust a connection:
-it closes it on a desync (a wrong or missing echo) and on a framing fault
-(a response that is not one whole, well-formed, header-only frame), and
-refuses every later request.
+Every backend is reached over one connected stream socket. A subprocess
+backend gets one end of a ``socket.socketpair()`` as its stdin and stdout; a
+TCP backend gets the socket of ``socket.create_connection``. Both carry the
+timeout :data:`IO_TIMEOUT_S`, which limits each send or receive, not a whole
+request: a backend that stops reading or never answers fails that frame, and
+so does one that needs longer than that to start reading its first request
+(the stub, a fresh interpreter, answers its first one about 0.2 s after spawn).
+Requests on one connection are serialized, and every response must echo its
+request's ``frame_index`` as a JSON integer. :meth:`ExternalClient.request`
+alone decides when to distrust a connection: it closes it on a timeout or
+reset, on a desync (a wrong or missing echo) and on a framing fault (a
+response that is not one whole, well-formed, header-only frame), and refuses
+every later request.
 """
 
 from __future__ import annotations
@@ -20,59 +26,55 @@ from ..geometry import ScoredBox
 from ..media import Frame
 from . import protocol
 
+IO_TIMEOUT_S = 30.0
 
-class SubprocessTransport:
-    """Child process reached through its stdin/stdout pipes."""
 
-    def __init__(self, command: Sequence[str]):
-        self.command = list(command)
+class SocketTransport:
+    """A connected stream socket to a backend, and the child process serving it, if any."""
+
+    def __init__(self, sock: socket.socket, proc: subprocess.Popen | None = None):
+        sock.settimeout(IO_TIMEOUT_S)
+        self._sock = sock
+        self._proc = proc
+        self.reader: BinaryIO = sock.makefile("rb")
+        self.writer: BinaryIO = sock.makefile("wb")
+
+    @classmethod
+    def spawn(cls, command: Sequence[str]) -> SocketTransport:
+        """Start ``command`` with one end of a socket pair as its stdin and stdout."""
+        ours, theirs = socket.socketpair()
         try:
-            self._proc = subprocess.Popen(
-                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
-            )
-        except OSError as exc:
-            raise BackendError(f"cannot start backend process {self.command}: {exc}") from exc
+            proc = subprocess.Popen(command, stdin=theirs, stdout=theirs)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the command
+            ours.close()
+            raise BackendError(f"cannot start backend process {list(command)}: {exc}") from exc
+        finally:
+            theirs.close()  # the child keeps its copy, so its exit reads as EOF here
+        return cls(ours, proc)
 
-    @property
-    def reader(self) -> BinaryIO:
-        return self._proc.stdout
-
-    @property
-    def writer(self) -> BinaryIO:
-        return self._proc.stdin
-
-    def close(self) -> None:
-        for stream in (self._proc.stdin, self._proc.stdout):
-            try:
-                stream.close()
-            except OSError:
-                pass
-        self._proc.terminate()
+    @classmethod
+    def connect(cls, host: str, port: int) -> SocketTransport:
         try:
-            self._proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-
-
-class TcpTransport:
-    """TCP connection to a backend serving the same protocol."""
-
-    def __init__(self, host: str, port: int):
-        try:
-            self._sock = socket.create_connection((host, port), timeout=30)
+            sock = socket.create_connection((host, port), timeout=IO_TIMEOUT_S)
         except OSError as exc:
             raise BackendError(f"cannot connect to backend at {host}:{port}: {exc}") from exc
-        self.reader: BinaryIO = self._sock.makefile("rb")
-        self.writer: BinaryIO = self._sock.makefile("wb")
+        return cls(sock)
 
     def close(self) -> None:
+        self._sock.settimeout(0)  # flushing a stalled request must not wait out a second timeout
         for stream in (self.reader, self.writer):
             try:
                 stream.close()
             except OSError:
                 pass
         self._sock.close()
+        if self._proc is not None:
+            self._proc.terminate()
+            try:
+                self._proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
 
 
 class ExternalClient:

@@ -3,6 +3,7 @@
 Speaks the framed wire protocol of :mod:`scopeline.backends.protocol` over
 stdio (default) or a single TCP connection: each request is a JSON header
 followed by the frame's raw RGB8 pixels, each response a JSON header alone.
+When the pipeline spawns it, its stdin and stdout are one connected socket.
 Detection requests are answered with the boxes given on the command line,
 clipped to the frame; blur requests are answered blurry when every pixel
 byte is identical.

@@ -202,7 +202,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             video_id = results_path.parent.name or f"run-{index:03d}"
             fps = args.fps
             frame_count = 0
-        video_annotations = tuple(a for a in annotations if a.video_id == video_id)
+        video_annotations = tuple(annotations_by_frame(annotations, video_id).values())
         if not frame_count:
             candidates = [r.frame_index for r in results]
             candidates += [a.frame_index for a in video_annotations]

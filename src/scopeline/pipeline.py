@@ -26,13 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 from .annotations import FrameAnnotation, load_jsonl
 from .backends.base import BlurGate, DetectorBackend, HeuristicBlurGate
-from .backends.external import (
-    ExternalBlurGate,
-    ExternalClient,
-    ExternalDetectorBackend,
-    SubprocessTransport,
-    TcpTransport,
-)
+from .backends.external import ExternalBlurGate, ExternalClient, ExternalDetectorBackend, SocketTransport
 from .backends.synthetic import SyntheticDetector, SyntheticDetectorConfig
 from .codec import from_json
 from .ensemble import MODE_SIZE_AWARE, EnsembleConfig, and_ensemble, size_aware_ensemble
@@ -168,8 +162,8 @@ class RunSummary:
 
 def _connect(spec: ExternalBackendSpec) -> ExternalClient:
     if spec.transport == TRANSPORT_SUBPROCESS:
-        return ExternalClient(SubprocessTransport(spec.command))
-    return ExternalClient(TcpTransport(spec.host, spec.port))
+        return ExternalClient(SocketTransport.spawn(spec.command))
+    return ExternalClient(SocketTransport.connect(spec.host, spec.port))
 
 
 def build_detector(spec: DetectorSpec, source: str, truth: Mapping[int, FrameAnnotation]) -> DetectorBackend:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from scopeline.geometry import BoundingBox
 from scopeline.media import Frame
@@ -15,6 +17,26 @@ from scopeline.media import Frame
 # import the package from this checkout too.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+# Backend children that stall: one never reads its requests, one reads a
+# request but never answers it.
+NEVER_READS = [sys.executable, "-c", "import time; time.sleep(60)"]
+NEVER_ANSWERS = [sys.executable, "-c", "import sys, time; sys.stdin.buffer.read1(1 << 16); time.sleep(60)"]
+
+
+def child_pids() -> set[int]:
+    """Pids of this process's children, exited but unreaped ones included."""
+    return {int(pid) for path in Path("/proc/self/task").glob("*/children") for pid in path.read_text().split()}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail any test that leaves a child process behind it."""
+    before = child_pids()
+    yield
+    left = child_pids() - before
+    assert not left, f"child processes left running: {sorted(left)}"
 
 
 def pixel_grid_iou(a: BoundingBox, b: BoundingBox) -> Fraction:

@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 from scopeline import cli
+from scopeline.backends import external
 from scopeline.datagen import DatasetSpec, write_dataset
 from scopeline.media import MANIFEST_NAME, encode_ppm, frame_filename
+
+from conftest import NEVER_ANSWERS, NEVER_READS, child_pids
 
 SPEC = DatasetSpec(videos=1, frames_per_video=8, polyps_per_video=1, blur_fraction=0.25, seed=3,
                    width=32, height=24, polyp_edge_range=(4, 12))
@@ -148,8 +151,61 @@ def test_backend_that_cannot_start_leaves_no_tmp(tmp_path, dataset):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_backend_command_with_a_nul_byte_cannot_start(tmp_path, dataset, capsys):
+    config = {**CONFIG, "detector_b": {"kind": "external", "command": ["detector\0"]}}
+    assert run(tmp_path, dataset, config=config) == 1
+    assert "cannot start backend process" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def read_rows(out: Path) -> list[dict]:
     return [json.loads(line) for line in (out / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("command", [NEVER_READS, NEVER_ANSWERS], ids=["never-reads", "never-answers"])
+def test_a_stalled_detector_fails_its_frames_without_freezing_the_run(tmp_path, dataset, monkeypatch, command):
+    monkeypatch.setattr(external, "IO_TIMEOUT_S", 0.5)
+    before = child_pids()
+    start = time.monotonic()
+    assert run(tmp_path, dataset, config={**CONFIG, "detector_b": {"kind": "external", "command": command}}) == 0
+    assert time.monotonic() - start < 5
+    errors = [row["error"] for row in read_rows(tmp_path / "out") if not row["blurry"]]
+    # The first clear frame waits out the timeout; the closed client fails the rest at once.
+    assert "timed out" in errors[0]
+    assert len(errors) > 1 and all("closed" in error for error in errors[1:])
+    assert child_pids() == before
+
+
+def run_eval(tmp_path: Path, dataset: Path) -> int:
+    return cli.main(["eval", "--results", str(tmp_path / "out"), "--annotations", str(dataset / "annotations.jsonl"),
+                     "--output", str(tmp_path / "metrics")])
+
+
+@pytest.mark.parametrize("name", ["results", "annotations"])
+def test_eval_of_a_jsonl_file_that_is_not_utf8_exits_3(tmp_path, dataset, capsys, name):
+    assert run(tmp_path, dataset) == 0
+    path = tmp_path / "out" / "results.jsonl" if name == "results" else dataset / "annotations.jsonl"
+    lineno = len(path.read_bytes().splitlines()) + 1
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+    assert run_eval(tmp_path, dataset) == 3
+    assert f"{path}:{lineno}: invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+def test_eval_rejects_a_duplicate_annotation_as_run_does(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset) == 0
+    annotations = dataset / "annotations.jsonl"
+    rows = annotations.read_text(encoding="utf-8").splitlines()
+    first = json.loads(rows[0])
+    annotations.write_text("\n".join(rows + [json.dumps({**first, "boxes": []})]) + "\n", encoding="utf-8")
+    message = f"duplicate annotation for frame {first['frame_index']} of video video-000"
+    assert run_eval(tmp_path, dataset) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+    (tmp_path / "replay").mkdir()
+    assert run(tmp_path / "replay", dataset, "--annotations", str(annotations)) == 3
+    assert message in capsys.readouterr().err
 
 
 def read_report(out: Path) -> dict:

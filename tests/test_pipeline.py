@@ -21,7 +21,7 @@ from scopeline.ensemble import EnsembleConfig
 from scopeline.errors import BackendError
 from scopeline.geometry import BoundingBox, short_edge_ratio
 from scopeline.media import DirectoryFrameStream
-from scopeline.backends.external import SubprocessTransport
+from scopeline.backends.external import SocketTransport
 from scopeline.pipeline import GateConfig, Pipeline, PipelineConfig
 
 from conftest import MemoryFrameStream
@@ -231,12 +231,12 @@ def test_parallel_failure_waits_for_the_other_detector():
 def test_failed_build_closes_the_backends_already_started(tmp_path, monkeypatch):
     started = []
 
-    class RecordingTransport(SubprocessTransport):
-        def __init__(self, command):
-            super().__init__(command)
+    class RecordingTransport(SocketTransport):
+        def __init__(self, *args):
+            super().__init__(*args)
             started.append(self)
 
-    monkeypatch.setattr(pipeline_module, "SubprocessTransport", RecordingTransport)
+    monkeypatch.setattr(pipeline_module, "SocketTransport", RecordingTransport)
     config = PipelineConfig.from_dict({
         "gate": {"kind": "external", "external": {"command": STUB}},
         "detector_a": {"kind": "external", "command": STUB},

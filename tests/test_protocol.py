@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import socket
 import struct
@@ -13,18 +14,17 @@ import time
 
 import pytest
 
-from scopeline.backends import protocol
+from scopeline.backends import external, protocol
 from scopeline.backends.external import (
     ExternalBlurGate,
     ExternalClient,
     ExternalDetectorBackend,
-    SubprocessTransport,
-    TcpTransport,
+    SocketTransport,
 )
 from scopeline.errors import BackendError, DataFormatError, DesyncError, ProtocolError
 from scopeline.geometry import SOURCE_A, BoundingBox, ScoredBox
 
-from conftest import checkerboard_frame, solid_frame
+from conftest import NEVER_ANSWERS, NEVER_READS, checkerboard_frame, solid_frame
 
 STUB = [sys.executable, "-m", "scopeline.backends.stub"]
 
@@ -304,7 +304,7 @@ class TestClientResetRule:
 
 class TestStubSubprocess:
     def test_detect_round_trip(self):
-        client = ExternalClient(SubprocessTransport(STUB + ["--box", "5,6,20,10,0.75"]))
+        client = ExternalClient(SocketTransport.spawn(STUB + ["--box", "5,6,20,10,0.75"]))
         backend = ExternalDetectorBackend(client, SOURCE_A)
         try:
             frame = solid_frame((1, 2, 3), width=64, height=48, index=4)
@@ -316,7 +316,7 @@ class TestStubSubprocess:
             backend.close()
 
     def test_blur_gate_round_trip(self):
-        client = ExternalClient(SubprocessTransport(STUB))
+        client = ExternalClient(SocketTransport.spawn(STUB))
         gate = ExternalBlurGate(client)
         try:
             assert gate.is_blurry(solid_frame((50, 50, 50), width=8, height=8)) is True
@@ -325,7 +325,7 @@ class TestStubSubprocess:
             gate.close()
 
     def test_desync_closes_connection(self):
-        client = ExternalClient(SubprocessTransport(STUB + ["--desync"]))
+        client = ExternalClient(SocketTransport.spawn(STUB + ["--desync"]))
         backend = ExternalDetectorBackend(client, SOURCE_A)
         try:
             with pytest.raises(DesyncError):
@@ -336,7 +336,7 @@ class TestStubSubprocess:
             backend.close()
 
     def test_dead_process_reported_as_backend_error(self):
-        client = ExternalClient(SubprocessTransport([sys.executable, "-c", "pass"]))
+        client = ExternalClient(SocketTransport.spawn([sys.executable, "-c", "pass"]))
         backend = ExternalDetectorBackend(client, SOURCE_A)
         try:
             with pytest.raises(BackendError):
@@ -359,7 +359,7 @@ class TestStubTcp:
             client = None
             for _ in range(100):
                 try:
-                    client = ExternalClient(TcpTransport("127.0.0.1", port))
+                    client = ExternalClient(SocketTransport.connect("127.0.0.1", port))
                     break
                 except BackendError:
                     time.sleep(0.05)
@@ -371,3 +371,89 @@ class TestStubTcp:
         finally:
             server.terminate()
             server.wait(timeout=10)
+
+
+def _connect_when_up(port: int) -> ExternalClient:
+    for _ in range(100):
+        try:
+            return ExternalClient(SocketTransport.connect("127.0.0.1", port))
+        except BackendError:
+            time.sleep(0.05)
+    raise AssertionError("stub TCP server never came up")
+
+
+def test_closing_clients_leaks_no_descriptor():
+    frame = solid_frame((9, 9, 9), width=16, height=16)
+    port = _free_port()
+    before = len(os.listdir("/proc/self/fd"))
+    server = subprocess.Popen(STUB + ["--tcp-port", str(port)])
+    try:
+        clients = [ExternalClient(SocketTransport.spawn(STUB)) for _ in range(10)]
+        clients.append(_connect_when_up(port))
+        for client in clients:
+            assert ExternalDetectorBackend(client, SOURCE_A).detect(frame) == []
+            client.close()
+    finally:
+        server.terminate()
+        server.wait(timeout=10)
+    # The socket and both of its makefile streams were closed for every client.
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+TIMEOUT_S = 0.5
+
+
+@pytest.fixture
+def short_timeout(monkeypatch):
+    monkeypatch.setattr(external, "IO_TIMEOUT_S", TIMEOUT_S)
+
+
+class TestStalledBackend:
+    """A backend that stops reading or never answers fails the frame after the I/O timeout."""
+
+    @pytest.mark.parametrize(
+        "command, width, height",
+        # A 384x288 request outgrows the socket buffer, so it stalls in the send.
+        [(NEVER_READS, 384, 288), (NEVER_ANSWERS, 8, 8)],
+        ids=["never-reads", "never-answers"],
+    )
+    def test_stalled_child_fails_the_request_and_is_reaped(self, short_timeout, command, width, height):
+        transport = SocketTransport.spawn(command)
+        backend = ExternalDetectorBackend(ExternalClient(transport), SOURCE_A)
+        frame = solid_frame((0, 0, 0), width=width, height=height)
+        try:
+            start = time.monotonic()
+            with pytest.raises(BackendError, match="timed out"):
+                backend.detect(frame)
+            assert time.monotonic() - start < TIMEOUT_S + 1
+            start = time.monotonic()
+            with pytest.raises(BackendError, match="closed"):
+                backend.detect(frame)
+            assert time.monotonic() - start < 0.1
+            # The failed request closed the client, and close() reaped the child.
+            assert transport._proc.returncode is not None
+        finally:
+            backend.close()
+
+    def test_close_does_not_wait_to_flush_a_stalled_request(self, short_timeout):
+        ours, theirs = socket.socketpair()
+        with theirs:  # open but never read
+            ours.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                while True:  # fill the socket buffer
+                    ours.send(bytes(1 << 16))
+            transport = SocketTransport(ours)
+            transport.writer.write(b"tail")  # left in the write buffer, so close() flushes it
+            start = time.monotonic()
+            transport.close()
+            assert time.monotonic() - start < TIMEOUT_S / 2
+
+    def test_silent_tcp_peer_fails_the_request(self, short_timeout):
+        with socket.create_server(("127.0.0.1", 0)) as server:  # listens, never accepts
+            client = ExternalClient(SocketTransport.connect(*server.getsockname()))
+            start = time.monotonic()
+            with pytest.raises(BackendError, match="timed out"):
+                client.request(protocol.encode_detect_request(solid_frame((0, 0, 0))))
+            assert time.monotonic() - start < TIMEOUT_S + 1
+            with pytest.raises(BackendError, match="closed"):
+                client.request(protocol.encode_detect_request(solid_frame((0, 0, 0))))
