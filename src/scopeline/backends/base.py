@@ -28,8 +28,12 @@ class BlurGate(Protocol):
 class HeuristicBlurGate:
     """Laplacian-variance gate standing in for a trained blur classifier.
 
-    Blurry when the frame's exact Laplacian variance is below ``threshold``;
-    the gate's one scorer keeps its work buffers from frame to frame.
+    Blurry when the frame's exact Laplacian variance is below ``threshold``.
+    A probe of the frame's 16 centre Laplacian rows returns clear, exactly,
+    when those rows alone prove it (the subset bound in ``media``); any
+    other frame takes the scorer's full pass. The gate's one scorer keeps
+    its work buffers from frame to frame, and ``threshold`` is read on
+    every call.
     """
 
     def __init__(self, threshold: float = DEFAULT_BLUR_THRESHOLD):
@@ -37,4 +41,7 @@ class HeuristicBlurGate:
         self._scorer = LaplacianVarianceScorer()
 
     def is_blurry(self, frame: Frame) -> bool:
-        return self._scorer.variance(frame) < self.threshold
+        threshold = self.threshold
+        if self._scorer.centre_proves_clear(frame, threshold):
+            return False
+        return self._scorer.variance(frame) < threshold

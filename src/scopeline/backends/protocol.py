@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import BinaryIO, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 from ..errors import DataFormatError, ProtocolError
 from ..geometry import JSON_NUMBER, ScoredBox, box_from_dict, box_to_dict, json_field
-from ..media import Frame
+
+if TYPE_CHECKING:  # only annotations use Frame; a backend child need not load NumPy
+    from ..media import Frame
 
 PREFIX_SIZE = 4
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024

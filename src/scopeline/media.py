@@ -23,6 +23,14 @@ and fused multiply-adds included):
   run's sum of squares is at most ``2^13 * 1020000^2 < 8.6e15 < 2^53``.
 
 The run totals are then added as Python ints, so no frame size overflows.
+
+A clear verdict can come from a subset of the Laplacian values. The spread
+``n S2 - S1^2 = 1/2 sum_i sum_j (L'_i - L'_j)^2`` is a sum of non-negative
+terms over pairs of values, so the ``m`` values of any subset have
+``m S2_m - S1_m^2 <= n S2 - S1^2``: dropping values only drops pairs. Once a
+subset's spread reaches ``threshold n^2 10^6`` the frame is clear, exactly,
+whichever rows the subset holds and in whatever order they are visited.
+A blurry verdict still needs every value.
 """
 
 from __future__ import annotations
@@ -118,6 +126,10 @@ class LaplacianVarianceScorer:
     # core, one whole-frame copy made a 384x288 frame about 0.1 ms slower.
     _BAND = 1 << 14
     _LUMA_WEIGHTS = np.array([299, 587, 114], np.float32)
+    # Laplacian rows of the centre strip that ``centre_proves_clear`` scores.
+    # Each NumPy call costs about as much as a 16-row strip's arithmetic, so
+    # one short probe keeps the extra cost of an undecided frame small.
+    _PROBE_ROWS = 16
 
     def __init__(self) -> None:
         self._shape: tuple[int, int] | None = None
@@ -134,15 +146,28 @@ class LaplacianVarianceScorer:
         # Whole runs of the float64 sums; the padding past ``count`` stays zero.
         run = min(count, self._RUN)
         self._wide = np.zeros((-(-count // run), run), np.float64)
+        # The probe works in the heads of the same buffers, which the full pass
+        # overwrites: luma rows ``top .. top + rows + 1`` give its ``rows``
+        # Laplacian rows. A frame with no more Laplacian rows has no probe.
+        rows = self._PROBE_ROWS
+        self._probe = None
+        if height - 2 > rows:
+            top, values = (height - 2 - rows) // 2, rows * width
+            run = min(values, self._RUN)
+            wide = self._wide.reshape(-1)[: -(-values // run) * run].reshape(-1, run)
+            luma = self._luma[top * width : (top + rows + 2) * width]
+            self._probe = (top * width, luma, self._laplacian[:values], wide)
         self._shape = (height, width)
 
-    def variance(self, frame: Frame) -> Fraction:
-        """The frame's Laplacian variance; MediaFormatError below 3x3."""
-        height, width = frame.height, frame.width
-        if self._shape != (height, width):
-            self._resize(height, width)
-        rgb, luma, lap = self._rgb, self._luma, self._laplacian
-        pixels = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
+    def _sums(
+        self, pixels: np.ndarray, luma: np.ndarray, lap: np.ndarray, wide: np.ndarray, width: int
+    ) -> tuple[int, int]:
+        """``S1`` and ``S2`` of the Laplacian of RGB rows ``pixels``, via the given buffers.
+
+        ``luma`` holds one value per pixel and ``lap`` two rows fewer;
+        ``wide`` takes ``lap`` in runs.
+        """
+        rgb = self._rgb
         band = len(rgb)
         for start in range(0, len(luma), band):
             part = rgb[: len(luma) - start]
@@ -154,15 +179,48 @@ class LaplacianVarianceScorer:
         lap += luma[2 * width :]
         lap += luma[width - 1 : width - 1 + count]
         lap += luma[width + 1 : width + 1 + count]
-        rows = lap.reshape(height - 2, width)
+        rows = lap.reshape(-1, width)
         rows[:, 0] = 0
         rows[:, -1] = 0
-        wide = self._wide
         np.copyto(wide.reshape(-1)[:count], lap)
         s1 = sum(map(int, np.einsum("ij->i", wide).tolist()))
         s2 = sum(map(int, np.matmul(wide[:, None, :], wide[:, :, None]).ravel().tolist()))
+        return s1, s2
+
+    def variance(self, frame: Frame) -> Fraction:
+        """The frame's Laplacian variance, from every row; MediaFormatError below 3x3."""
+        height, width = frame.height, frame.width
+        if self._shape != (height, width):
+            self._resize(height, width)
+        pixels = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
+        s1, s2 = self._sums(pixels, self._luma, self._laplacian, self._wide, width)
         n = (height - 2) * (width - 2)
         return Fraction(n * s2 - s1 * s1, n * n * 1_000_000)
+
+    def centre_proves_clear(self, frame: Frame, threshold: float) -> bool:
+        """True when ``_PROBE_ROWS`` centre rows alone prove the variance is at least ``threshold``.
+
+        Applies the subset bound of the module docstring, compared in
+        integers. False means undecided: the frame has no more Laplacian rows
+        than the probe, the threshold is not finite, or the strip's spread
+        falls short. MediaFormatError below 3x3.
+        """
+        height, width = frame.height, frame.width
+        if self._shape != (height, width):
+            self._resize(height, width)
+        if self._probe is None:
+            return False
+        try:
+            num, den = threshold.as_integer_ratio()
+        except (OverflowError, ValueError):  # infinite or nan: no bound to reach
+            return False
+        start, luma, lap, wide = self._probe
+        wide.reshape(-1)[len(lap) :] = 0  # the last run's padding, which a full pass fills
+        pixels = np.frombuffer(frame.pixels, np.uint8, 3 * len(luma), 3 * start).reshape(-1, 3)
+        s1, s2 = self._sums(pixels, luma, lap, wide, width)
+        # The strip's m values leave out its wrapped first and last columns, which are zero.
+        n, m = (height - 2) * (width - 2), self._PROBE_ROWS * (width - 2)
+        return (m * s2 - s1 * s1) * den >= num * n * n * 1_000_000
 
 
 def heuristic_blur_gate(frame: Frame, threshold: float = DEFAULT_BLUR_THRESHOLD) -> bool:

@@ -10,18 +10,23 @@ import pytest
 from scopeline.annotations import FrameAnnotation, LabeledBox
 from scopeline.codec import to_json
 from scopeline.evaluation import (
+    CRITERION_CENTROID,
     ClipRecord,
     ConfusionCounts,
+    MatchConfig,
     VideoEvalInput,
     ecdf,
     evaluate_videos,
     fp_incidents,
     fp_per_minute,
+    match_frame,
     prf,
     recall_at,
     time_to_first_detection,
 )
-from scopeline.geometry import BoundingBox, ScoredBox
+from scopeline.geometry import LABEL_INSTRUMENT, BoundingBox, ScoredBox
+
+from conftest import pixel_grid_iou
 
 POLYP = BoundingBox(10, 10, 20, 20)
 ELSEWHERE = BoundingBox(60, 60, 20, 20)  # IoU 0 with POLYP
@@ -29,6 +34,63 @@ ELSEWHERE = BoundingBox(60, 60, 20, 20)  # IoU 0 with POLYP
 
 def polyp_annotations(video_id: str, frames: range) -> tuple[FrameAnnotation, ...]:
     return tuple(FrameAnnotation(video_id, i, (LabeledBox(POLYP),)) for i in frames)
+
+
+def frame_truth(*boxes: LabeledBox) -> FrameAnnotation:
+    return FrameAnnotation("v", 0, boxes)
+
+
+class TestMatchFrame:
+    """``match_frame`` on the edges of its rule: the IoU bound, the half-open box, score ties, labels."""
+
+    def test_iou_exactly_at_the_threshold_matches(self):
+        gt, pred = BoundingBox(0, 0, 4, 2), BoundingBox(0, 0, 2, 2)
+        assert pixel_grid_iou(gt, pred) == Fraction(1, 2)
+        truth = frame_truth(LabeledBox(gt))
+        assert match_frame([ScoredBox(pred, 0.9)], truth) == ConfusionCounts(tp=1, fp=0, fn=0)
+        above = MatchConfig(iou_match_threshold=math.nextafter(0.5, 1.0))
+        assert match_frame([ScoredBox(pred, 0.9)], truth, above) == ConfusionCounts(tp=0, fp=1, fn=1)
+
+    @pytest.mark.parametrize(
+        "pred, inside",
+        [
+            (BoundingBox(10, 4, 4, 4), False),  # centre x 12: on the right edge
+            (BoundingBox(4, 10, 4, 4), False),  # centre y 12: on the bottom edge
+            (BoundingBox(9, 9, 5, 5), True),  # centre (11.5, 11.5): just inside both
+            (BoundingBox(0, 0, 4, 4), True),  # centre (2, 2): on the left and top edges
+        ],
+        ids=["right-edge", "bottom-edge", "just-inside", "top-left-corner"],
+    )
+    def test_centroid_box_is_half_open(self, pred, inside):
+        truth = frame_truth(LabeledBox(BoundingBox(2, 2, 10, 10)))
+        counts = match_frame([ScoredBox(pred, 0.9)], truth, MatchConfig(criterion=CRITERION_CENTROID))
+        assert counts == (ConfusionCounts(1, 0, 0) if inside else ConfusionCounts(0, 1, 1))
+
+    def test_equal_scores_go_in_input_order(self):
+        # wide overlaps gt_a (IoU 9/11) better than gt_b (7/13, still >= 0.5); exact overlaps
+        # only gt_a (gt_b at 3/7). Whichever claims gt_a first decides whether gt_b is matched.
+        gt_a, gt_b = BoundingBox(0, 0, 10, 10), BoundingBox(4, 0, 10, 10)
+        wide, exact = BoundingBox(1, 0, 10, 10), BoundingBox(0, 0, 10, 10)
+        assert [pixel_grid_iou(wide, gt_a), pixel_grid_iou(wide, gt_b), pixel_grid_iou(exact, gt_b)] == [
+            Fraction(9, 11),
+            Fraction(7, 13),
+            Fraction(3, 7),
+        ]
+        truth = frame_truth(LabeledBox(gt_a), LabeledBox(gt_b))
+        wide_first = [ScoredBox(wide, 0.5), ScoredBox(exact, 0.5)]
+        assert match_frame(wide_first, truth) == ConfusionCounts(tp=1, fp=1, fn=1)
+        assert match_frame(wide_first[::-1], truth) == ConfusionCounts(tp=2, fp=0, fn=0)
+        # A higher score goes first whatever the input order.
+        assert match_frame([ScoredBox(wide, 0.5), ScoredBox(exact, 0.6)], truth) == ConfusionCounts(2, 0, 0)
+
+    def test_non_polyp_boxes_are_ignored_on_either_side(self):
+        polyp_truth = frame_truth(LabeledBox(POLYP))
+        instrument_truth = frame_truth(LabeledBox(POLYP, LABEL_INSTRUMENT))
+        instrument = ScoredBox(POLYP, 0.9, label=LABEL_INSTRUMENT)
+        assert match_frame([instrument], polyp_truth) == ConfusionCounts(tp=0, fp=0, fn=1)
+        assert match_frame([ScoredBox(POLYP, 0.9)], instrument_truth) == ConfusionCounts(tp=0, fp=1, fn=0)
+        assert match_frame([instrument], instrument_truth) == ConfusionCounts(tp=0, fp=0, fn=0)
+        assert match_frame([instrument], None) == ConfusionCounts(tp=0, fp=0, fn=0)
 
 
 class TestTimeToFirstDetection:

@@ -13,6 +13,7 @@ import pytest
 
 from scopeline.backends.base import HeuristicBlurGate
 from scopeline.codec import from_json, to_json
+from scopeline.datagen import DatasetSpec, plan_video, render_frame
 from scopeline.errors import MediaFormatError
 from scopeline.media import (
     DirectoryFrameStream,
@@ -218,6 +219,26 @@ def scorer_frames() -> list[Frame]:
     return frames
 
 
+def early_exit_frames() -> list[Frame]:
+    """Frames for the gate's centre probe (16 Laplacian rows, so at least 19 pixels high).
+
+    Texture only in the first rows, only in the last rows or only in one corner leaves the
+    centre strip flat, so the probe cannot settle them. Then frames shorter than the probe
+    and just tall enough for it, single-Laplacian-row strips, and strips of 16 rows of 511,
+    512 and 513 values: one 2^13-value float64 run is exactly 16 rows of 512.
+    """
+    rng = np.random.default_rng(17)
+    frames = []
+    for rows, cols in ((slice(0, 4), slice(None)), (slice(-4, None), slice(None)), (slice(-6, None), slice(-6, None))):
+        raster = np.full((40, 24, 3), 90, np.uint8)
+        raster[rows, cols] = rng.integers(0, 256, raster[rows, cols].shape)
+        frames.append(Frame(0, 0.0, 24, 40, raster.tobytes()))
+    frames += [random_frame(rng, 9, height) for height in (17, 18, 19, 20)]
+    frames += [random_frame(rng, 3, 3), random_frame(rng, 40, 3), random_frame(rng, 3, 40)]
+    frames += [random_frame(rng, width, 24) for width in (511, 512, 513)]
+    return frames
+
+
 def frame_id(frame: Frame) -> str:
     return f"{frame.width}x{frame.height}"
 
@@ -264,9 +285,19 @@ class TestExactScorer:
         white = odd_x * even_y + even_x * odd_y
         n = (width - 2) * (height - 2)
         s1, s2 = 1_020_000 * (n - 2 * white), n * 1_020_000**2
-        assert LaplacianVarianceScorer().variance(frame) == Fraction(n * s2 - s1 * s1, n * n * 1_000_000)
+        exact = Fraction(n * s2 - s1 * s1, n * n * 1_000_000)
+        assert LaplacianVarianceScorer().variance(frame) == exact
+        # The gates' verdicts at the exact variance's float and either side of it.
+        gate = HeuristicBlurGate()
+        value = float(exact)
+        for threshold in (math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)):
+            gate.threshold = threshold
+            expected = exact < Fraction(threshold)
+            assert gate.is_blurry(frame) is expected
+            assert heuristic_blur_gate(frame, threshold) is expected
+        assert expected is True
 
-    @pytest.mark.parametrize("frame", scorer_frames(), ids=frame_id)
+    @pytest.mark.parametrize("frame", scorer_frames() + early_exit_frames(), ids=frame_id)
     def test_verdict_is_exact_at_the_threshold_edge(self, frame):
         exact = fraction_laplacian_variance(frame)
         floated = laplacian_variance(luma(frame))
@@ -305,13 +336,73 @@ class TestExactScorer:
         assert held > 1 << 20
         assert second_peak - held < 64 << 10
 
-    @pytest.mark.parametrize("width, height", [(2, 2), (1, 1), (2, 5), (5, 2)])
+    # 2x40 is tall enough for the gate's centre probe.
+    @pytest.mark.parametrize("width, height", [(2, 2), (1, 1), (2, 5), (5, 2), (2, 40)])
     def test_frames_under_3x3_are_a_media_format_error(self, width, height):
         frame = solid_frame((9, 9, 9), width=width, height=height)
         with pytest.raises(MediaFormatError, match="at least 3x3"):
             HeuristicBlurGate().is_blurry(frame)
         with pytest.raises(MediaFormatError, match="at least 3x3"):
             heuristic_blur_gate(frame)
+
+
+class TestEarlyExitGate:
+    """``HeuristicBlurGate``'s centre probe: its exact clear verdict and every way past it."""
+
+    @pytest.mark.parametrize("frame", [f for f in early_exit_frames() if f.height >= 19], ids=frame_id)
+    def test_probe_fires_exactly_at_the_centre_strip_bound(self, frame):
+        # The probe scores the 16 Laplacian rows in the middle of the frame (the upper middle
+        # when the count left over is odd), leaving out the first and last column.
+        first = (frame.height - 2 - 16) // 2 + 1
+        gray = [[299 * r + 587 * g + 114 * b for r, g, b in row] for row in rgb(frame).tolist()]
+        strip = [
+            gray[y - 1][x] + gray[y + 1][x] + gray[y][x - 1] + gray[y][x + 1] - 4 * gray[y][x]
+            for y in range(first, first + 16)
+            for x in range(1, frame.width - 1)
+        ]
+        m, n = len(strip), (frame.width - 2) * (frame.height - 2)
+        spread = m * sum(v * v for v in strip) - sum(strip) ** 2
+        bound = float(Fraction(spread, n * n * 1_000_000))
+        thresholds = [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+        scorer = LaplacianVarianceScorer()
+        scorer.variance(frame)  # the probe shares the full pass's buffers; it must not read what that left
+        verdicts = [scorer.centre_proves_clear(frame, t) for t in thresholds]
+        assert verdicts == [spread >= Fraction(t) * n * n * 1_000_000 for t in thresholds]
+        if spread:
+            assert verdicts[0] and not verdicts[2]
+        exact = fraction_laplacian_variance(frame)
+        for threshold in thresholds:
+            assert HeuristicBlurGate(threshold).is_blurry(frame) is (exact < threshold)
+
+    def test_a_clear_datagen_frame_is_decided_without_the_full_pass(self, monkeypatch):
+        spec = DatasetSpec(frames_per_video=2, polyps_per_video=1, blur_fraction=0.5, seed=7)
+        plans = plan_video(spec, 0)
+        clear, blurry = (render_frame(next(p for p in plans if p.blurry is b), spec) for b in (False, True))
+
+        def full_pass(scorer, frame):
+            raise AssertionError("full pass taken")
+
+        monkeypatch.setattr(LaplacianVarianceScorer, "variance", full_pass)
+        gate = HeuristicBlurGate()
+        assert gate.is_blurry(clear) is False
+        # Not vacuous: a blurry frame does reach the patched full pass.
+        with pytest.raises(AssertionError, match="full pass taken"):
+            gate.is_blurry(blurry)
+
+    @pytest.mark.parametrize(
+        "threshold, blurry", [(math.inf, True), (-math.inf, False), (math.nan, False), (-1.0, False), (0.0, False)]
+    )
+    def test_non_finite_and_non_positive_thresholds(self, threshold, blurry):
+        # 8x8 frames are too short for the probe; 8x40 ones have it.
+        for height in (8, 40):
+            for frame in (checkerboard_frame(8, height), solid_frame((128, 128, 128), 8, height)):
+                assert heuristic_blur_gate(frame, threshold) is blurry
+                assert HeuristicBlurGate(threshold).is_blurry(frame) is blurry
+                # The threshold is read on every call, so a reassigned one takes effect.
+                gate = HeuristicBlurGate()
+                gate.is_blurry(frame)
+                gate.threshold = threshold
+                assert gate.is_blurry(frame) is blurry
 
 
 class TestFrameInvariants:

@@ -303,6 +303,12 @@ class TestClientResetRule:
 
 
 class TestStubSubprocess:
+    def test_the_stub_loads_without_numpy(self):
+        # A backend child pays for every module it imports before its first answer.
+        code = "import sys, scopeline.backends.stub; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))"
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=30)
+        assert child.stdout.strip() == "[]"
+
     def test_detect_round_trip(self):
         client = ExternalClient(SocketTransport.spawn(STUB + ["--box", "5,6,20,10,0.75"]))
         backend = ExternalDetectorBackend(client, SOURCE_A)
