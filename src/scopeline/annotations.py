@@ -90,18 +90,13 @@ def save_annotations(path: str | Path, annotations: Iterable[FrameAnnotation]) -
             fh.write("\n")
 
 
-def annotations_by_frame(
-    annotations: Sequence[FrameAnnotation], video_id: str | None = None
-) -> dict[int, FrameAnnotation]:
-    """Index annotations by frame, optionally restricted to one video."""
+def annotations_by_frame(annotations: Sequence[FrameAnnotation], video_id: str) -> dict[int, FrameAnnotation]:
+    """Index the annotations of one video by frame; a frame annotated twice is a DataFormatError."""
     indexed: dict[int, FrameAnnotation] = {}
     for annotation in annotations:
-        if video_id is not None and annotation.video_id != video_id:
+        if annotation.video_id != video_id:
             continue
         if annotation.frame_index in indexed:
-            raise DataFormatError(
-                f"duplicate annotation for frame {annotation.frame_index}"
-                + (f" of video {video_id}" if video_id else "")
-            )
+            raise DataFormatError(f"duplicate annotation for frame {annotation.frame_index} of video {video_id}")
         indexed[annotation.frame_index] = annotation
     return indexed

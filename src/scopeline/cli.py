@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .annotations import annotations_by_frame, load_annotations
+from .annotations import FrameAnnotation, annotations_by_frame, load_annotations
 from .codec import from_json, read_json, to_json
 from .datagen import DatasetSpec, write_dataset
 from .errors import ConfigError, DataFormatError, MediaFormatError, ScopelineError
@@ -37,7 +37,6 @@ from .evaluation import (
     evaluate_videos,
     write_clips_csv,
     write_fp_cdf_csv,
-    write_metrics_json,
     write_recall_curve_csv,
 )
 from .media import DirectoryFrameStream, StreamInfo
@@ -184,7 +183,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.merge_window < 0:
         raise ConfigError(f"--merge-window must be non-negative, got {args.merge_window}")
     match_cfg = MatchConfig(criterion=args.match, iou_match_threshold=args.match_threshold)
-    annotations = load_annotations(Path(args.annotations))
+    rows_by_video: dict[str, list[FrameAnnotation]] = {}
+    for annotation in load_annotations(Path(args.annotations)):
+        rows_by_video.setdefault(annotation.video_id, []).append(annotation)
 
     inputs = []
     for index, entry in enumerate(args.results):
@@ -202,10 +203,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             video_id = results_path.parent.name or f"run-{index:03d}"
             fps = args.fps
             frame_count = 0
-        video_annotations = tuple(annotations_by_frame(annotations, video_id).values())
+        detections_by_frame = {}
+        for r in results:
+            if r.frame_index in detections_by_frame:
+                raise DataFormatError(f"{results_path}: duplicate results row for frame {r.frame_index}")
+            detections_by_frame[r.frame_index] = r.detections
+        video_annotations = tuple(annotations_by_frame(rows_by_video.get(video_id, ()), video_id).values())
         if not frame_count:
-            candidates = [r.frame_index for r in results]
-            candidates += [a.frame_index for a in video_annotations]
+            candidates = [*detections_by_frame, *(a.frame_index for a in video_annotations)]
             frame_count = max(candidates) + 1 if candidates else 0
         if frame_count < 1:
             raise DataFormatError(f"cannot determine frame count for {results_path}")
@@ -215,7 +220,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 fps=fps,
                 frame_count=frame_count,
                 annotations=video_annotations,
-                detections_by_frame={r.frame_index: r.detections for r in results},
+                detections_by_frame=detections_by_frame,
             )
         )
 
@@ -223,7 +228,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "metrics.json", lambda p: write_metrics_json(p, report))
+    _atomic_write_json(out / "metrics.json", report.to_dict())
     _atomic_write(out / "clips.csv", lambda p: write_clips_csv(p, report.clip_records))
     _atomic_write(out / "recall_curve.csv", lambda p: write_recall_curve_csv(p, report.clip_records))
     _atomic_write(out / "fp_cdf.csv", lambda p: write_fp_cdf_csv(p, report.fp_rates))

@@ -5,20 +5,26 @@ percent precision, recall, F1, F2. Video level: time-to-first-detection
 recall curves, false-positive incident deduplication (FPs within the merge
 window count once), FP-per-minute rates, and their empirical CDF.
 
+Each video is scored in one pass over its frames: every frame is matched
+once, and that one match gives its counts, whether it is an FP frame, and
+the clip's first appearance (the first frame with a polyp box) and first
+detection (the first frame with a TP). A video's input holds at most one
+annotation row per frame, and every annotation and results frame lies in
+``[0, frame_count)``.
+
 Undefined metrics (zero denominators) are reported as None, never as 0.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .annotations import FrameAnnotation
 from .codec import to_json
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .geometry import LABEL_POLYP, BoundingBox, ScoredBox, iou
 
 CRITERION_IOU = "iou"
@@ -153,28 +159,6 @@ class ClipRecord:
         return (self.detection_frame - self.first_appearance_frame) / self.fps
 
 
-def time_to_first_detection(
-    clip_id: str,
-    annotations: Sequence[FrameAnnotation],
-    detections_by_frame: Mapping[int, Sequence[ScoredBox]],
-    fps: float,
-    cfg: MatchConfig = MatchConfig(),
-) -> ClipRecord:
-    """Delay between a polyp's first annotated appearance and its first match."""
-    polyp_frames = sorted(a.frame_index for a in annotations if a.polyp_boxes())
-    if not polyp_frames:
-        raise ValueError(f"clip {clip_id!r} has no polyp annotations")
-    first_appearance = polyp_frames[0]
-    by_frame = {a.frame_index: a for a in annotations}
-    detection_frame = None
-    for frame_index in polyp_frames:
-        counts = match_frame(detections_by_frame.get(frame_index, ()), by_frame[frame_index], cfg)
-        if counts.tp >= 1:
-            detection_frame = frame_index
-            break
-    return ClipRecord(clip_id, first_appearance, detection_frame, fps)
-
-
 def recall_at(records: Sequence[ClipRecord], horizon_seconds: float) -> float:
     """Fraction of clips detected within ``horizon_seconds`` of first appearance."""
     if not records:
@@ -234,6 +218,17 @@ class VideoEvalInput:
     annotations: tuple[FrameAnnotation, ...]
     detections_by_frame: Mapping[int, Sequence[ScoredBox]]
 
+    def __post_init__(self) -> None:
+        annotated = [a.frame_index for a in self.annotations]
+        for kind, frames in (("annotation", annotated), ("results", self.detections_by_frame)):
+            for frame in frames:
+                if not 0 <= frame < self.frame_count:
+                    raise DataFormatError(
+                        f"video {self.video_id}: {kind} frame {frame} lies outside [0, {self.frame_count})"
+                    )
+        if len(set(annotated)) < len(annotated):
+            raise DataFormatError(f"video {self.video_id}: more than one annotation row for a frame")
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -266,7 +261,8 @@ def evaluate_videos(
     Videos with polyp annotations contribute one clip record each; videos
     without any contribute one FP-per-minute rate each (incidents merged
     over the window), mirroring the split between recall clips and
-    false-positive clips.
+    false-positive clips. A clip's delay runs from its first frame with a
+    polyp box to its first frame with a TP.
     """
     total = ConfusionCounts()
     clip_records = []
@@ -274,6 +270,7 @@ def evaluate_videos(
     for video in sorted(inputs, key=lambda v: v.video_id):
         by_frame = {a.frame_index: a for a in video.annotations}
         fp_frames = []
+        first_appearance = detection_frame = None
         for frame_index in range(video.frame_count):
             counts = match_frame(
                 video.detections_by_frame.get(frame_index, ()), by_frame.get(frame_index), cfg
@@ -281,20 +278,16 @@ def evaluate_videos(
             total = total + counts
             if counts.fp >= 1:
                 fp_frames.append(frame_index)
-        if any(a.polyp_boxes() for a in video.annotations):
-            clip_records.append(
-                time_to_first_detection(
-                    video.video_id, video.annotations, video.detections_by_frame, video.fps, cfg
-                )
-            )
+            if first_appearance is None and counts.tp + counts.fn >= 1:  # the frame has a polyp box
+                first_appearance = frame_index
+            if detection_frame is None and counts.tp >= 1:
+                detection_frame = frame_index
+        if first_appearance is not None:
+            clip_records.append(ClipRecord(video.video_id, first_appearance, detection_frame, video.fps))
         else:
             incidents = fp_incidents(fp_frames, merge_window_frames)
             fp_rates.append((video.video_id, fp_per_minute(incidents, video.frame_count, video.fps)))
     return EvalReport(total, prf(total), tuple(clip_records), tuple(fp_rates), cfg)
-
-
-def write_metrics_json(path: str | Path, report: EvalReport) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 def write_clips_csv(path: str | Path, records: Sequence[ClipRecord]) -> None:

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scopeline.geometry import BoundingBox
+from scopeline.annotations import FrameAnnotation
+from scopeline.evaluation import CRITERION_IOU, ConfusionCounts
+from scopeline.geometry import LABEL_POLYP, BoundingBox, ScoredBox
 from scopeline.media import Frame
 
 # Backend subprocesses started by the tests (``python -m scopeline.backends.stub``)
@@ -53,6 +55,41 @@ def pixel_grid_iou(a: BoundingBox, b: BoundingBox) -> Fraction:
     inter = int(np.count_nonzero(grid_a & grid_b))
     union = int(np.count_nonzero(grid_a | grid_b))
     return Fraction(inter, union)
+
+
+def oracle_match_frame(
+    predictions: list[ScoredBox], truth: FrameAnnotation | None, criterion: str, threshold: float
+) -> ConfusionCounts:
+    """Greedy matching oracle that shares no arithmetic with ``match_frame``.
+
+    Polyp predictions go by descending score, equal scores in input order.
+    Each claims the unmatched polyp truth box of greatest ``pixel_grid_iou``
+    (the first such box on a tie) among those it may match: exact IoU at or
+    above the threshold's exact value for ``iou``; for ``centroid``, its
+    centre inside the half-open box, tested in integers on doubled
+    coordinates.
+    """
+    gts = [lb.box for lb in truth.boxes if lb.label == LABEL_POLYP] if truth is not None else []
+    polyps = [p for p in predictions if p.label == LABEL_POLYP]
+    order = sorted(range(len(polyps)), key=lambda i: (-Fraction(polyps[i].score), i))
+    matched: set[int] = set()
+    for i in order:
+        pred = polyps[i].box
+        cx2, cy2 = 2 * pred.x + pred.w, 2 * pred.y + pred.h
+        best = None
+        for gi, gt in enumerate(gts):
+            if gi in matched:
+                continue
+            overlap = pixel_grid_iou(pred, gt)
+            if criterion == CRITERION_IOU:
+                eligible = overlap >= Fraction(threshold)
+            else:
+                eligible = 2 * gt.x <= cx2 < 2 * gt.right and 2 * gt.y <= cy2 < 2 * gt.bottom
+            if eligible and (best is None or overlap > best[0]):
+                best = (overlap, gi)
+        if best is not None:
+            matched.add(best[1])
+    return ConfusionCounts(tp=len(matched), fp=len(polyps) - len(matched), fn=len(gts) - len(matched))
 
 
 def solid_frame(rgb: tuple[int, int, int], width: int = 8, height: int = 8, index: int = 0) -> Frame:

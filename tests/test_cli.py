@@ -1,4 +1,4 @@
-"""CLI exit codes, atomic output files, and byte-reproducible synthetic datasets."""
+"""CLI exit codes, atomic output files, golden eval outputs, and byte-reproducible synthetic datasets."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from scopeline import cli
+from scopeline.annotations import annotations_by_frame, load_annotations
 from scopeline.backends import external
 from scopeline.datagen import DatasetSpec, write_dataset
 from scopeline.media import MANIFEST_NAME, encode_ppm, frame_filename
@@ -206,6 +207,120 @@ def test_eval_rejects_a_duplicate_annotation_as_run_does(tmp_path, dataset, caps
     (tmp_path / "replay").mkdir()
     assert run(tmp_path / "replay", dataset, "--annotations", str(annotations)) == 3
     assert message in capsys.readouterr().err
+
+
+def append_row(path: Path, row: dict) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+
+
+def test_eval_rejects_a_duplicate_results_row(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset) == 0
+    results = tmp_path / "out" / "results.jsonl"
+    row = json.loads(results.read_text(encoding="utf-8").splitlines()[5])
+    append_row(results, {**row, "detections": []})
+    assert run_eval(tmp_path, dataset) == 3
+    assert f"{results}: duplicate results row for frame 5" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, frame",
+    [("results", SPEC.frames_per_video), ("results", -3), ("annotation", SPEC.frames_per_video), ("annotation", -50)],
+    ids=["results-past-the-end", "results-before-0", "annotation-past-the-end", "annotation-before-0"],
+)
+def test_eval_rejects_a_frame_outside_the_video(tmp_path, dataset, capsys, kind, frame):
+    assert run(tmp_path, dataset) == 0
+    path = tmp_path / "out" / "results.jsonl" if kind == "results" else dataset / "annotations.jsonl"
+    last = json.loads(path.read_text(encoding="utf-8").splitlines()[-1])
+    append_row(path, {**last, "frame_index": frame})
+    assert run_eval(tmp_path, dataset) == 3
+    message = f"video video-000: {kind} frame {frame} lies outside [0, {SPEC.frames_per_video})"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+# A staggered polyp video, and a polyp-free one: video-001's rows leave the
+# annotations before it runs, so its detectors see no truth.
+EVAL_SPEC = DatasetSpec(videos=2, frames_per_video=90, polyps_per_video=2, blur_fraction=0.2, seed=21,
+                        width=64, height=48, polyp_edge_range=(6, 16), stagger_appearance=True)
+NOISY = {
+    "detector_a": {"kind": "synthetic", "seed": 7, "p_tp": 0.4, "fp_rate": 1.0, "jitter_px": 3.0},
+    "detector_b": {"kind": "synthetic", "seed": 8, "p_tp": 0.4, "fp_rate": 1.0, "jitter_px": 3.0},
+}
+
+# sha256 of eval's outputs for EVAL_SPEC, recorded before eval scored each video in one pass.
+# The clip's delay is 11 frames under iou and 2 under centroid; the polyp-free video has 4 FP incidents.
+EVAL_GOLDEN = {
+    "iou": {
+        "metrics.json": "1f9cebac9069b9192a580ad03b9a47a0fef52b98f61929373ab55733d0739ff5",
+        "clips.csv": "c85c5c0533b4437cbd3747dcdb5fd426c79863186c1e91dca8d2eb3070308bf8",
+        "recall_curve.csv": "508ce1974aaac8ffe96065eed6d32f3d31a3f5bb62b18d202743507866f30af8",
+        "fp_cdf.csv": "4dc81cd84b1d6b952b88052b527977e61e3d684c7457841149cbf85600bb81a3",
+    },
+    "centroid": {
+        "metrics.json": "bc0435d0c24dfa80818fe60d7632e15074bba598f6a5cd1d8387973587489dc0",
+        "clips.csv": "5ff90d94e3b51f4974a994fb1bf64928b7d57b4beb3d63349a2f1cf4925bea26",
+        "recall_curve.csv": "508ce1974aaac8ffe96065eed6d32f3d31a3f5bb62b18d202743507866f30af8",
+        "fp_cdf.csv": "4dc81cd84b1d6b952b88052b527977e61e3d684c7457841149cbf85600bb81a3",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def eval_runs(tmp_path_factory) -> tuple[Path, list[Path]]:
+    """The annotations of EVAL_SPEC and the run directories of its two videos."""
+    root = tmp_path_factory.mktemp("eval")
+    write_dataset(EVAL_SPEC, root / "dataset")
+    annotations = root / "dataset" / "annotations.jsonl"
+    rows = annotations.read_text(encoding="utf-8").splitlines()
+    annotations.write_text("".join(row + "\n" for row in rows if '"video-001"' not in row), encoding="utf-8")
+    return annotations, run_videos(root, NOISY, EVAL_SPEC.videos)
+
+
+def run_videos(root: Path, config: dict, videos: int) -> list[Path]:
+    """Run each video of the dataset under ``root / "dataset"``; returns the run directories."""
+    config_path = write_config(root / "config.json", config)
+    runs = []
+    for index in range(videos):
+        video = f"video-{index:03d}"
+        runs.append(root / video)
+        assert cli.main(["run", "--config", str(config_path), "--input", str(root / "dataset" / "videos" / video),
+                         "--output", str(runs[-1])]) == 0
+    return runs
+
+
+def eval_runs_to(out: Path, annotations: Path, runs: list[Path], *extra: str) -> int:
+    args = ["eval", "--annotations", str(annotations), "--output", str(out), *extra]
+    for run_dir in runs:
+        args += ["--results", str(run_dir)]
+    return cli.main(args)
+
+
+@pytest.mark.parametrize("criterion", sorted(EVAL_GOLDEN))
+def test_eval_outputs_match_golden_digests(tmp_path, eval_runs, criterion):
+    assert eval_runs_to(tmp_path / "metrics", *eval_runs, "--match", criterion) == 0
+    got = {name: hashlib.sha256((tmp_path / "metrics" / name).read_bytes()).hexdigest() for name in EVAL_GOLDEN[criterion]}
+    assert got == EVAL_GOLDEN[criterion]
+
+
+def test_eval_hands_each_annotation_row_to_annotations_by_frame_once(tmp_path, monkeypatch):
+    spec = DatasetSpec(videos=3, frames_per_video=6, polyps_per_video=1, seed=4, width=32, height=24,
+                       polyp_edge_range=(4, 12))
+    write_dataset(spec, tmp_path / "dataset")
+    runs = run_videos(tmp_path, CONFIG, spec.videos)
+    handed = []
+
+    def counting(rows, video_id):
+        handed.extend(rows)
+        return annotations_by_frame(rows, video_id)
+
+    monkeypatch.setattr(cli, "annotations_by_frame", counting)
+    annotations = tmp_path / "dataset" / "annotations.jsonl"
+    assert eval_runs_to(tmp_path / "metrics", annotations, runs) == 0
+    rows = load_annotations(annotations)
+    assert len({row.video_id for row in rows}) == 3
+    assert sorted(handed, key=str) == sorted(rows, key=str)
 
 
 def read_report(out: Path) -> dict:

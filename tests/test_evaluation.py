@@ -1,16 +1,19 @@
-"""Video-level metrics against hand-computed oracles (exact where possible via Fraction)."""
+"""The matcher and video-level metrics against hand-computed and brute-force oracles (exact where possible via Fraction)."""
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from scopeline.annotations import FrameAnnotation, LabeledBox
 from scopeline.codec import to_json
+from scopeline.errors import DataFormatError
 from scopeline.evaluation import (
     CRITERION_CENTROID,
+    CRITERION_IOU,
     ClipRecord,
     ConfusionCounts,
     MatchConfig,
@@ -22,11 +25,10 @@ from scopeline.evaluation import (
     match_frame,
     prf,
     recall_at,
-    time_to_first_detection,
 )
-from scopeline.geometry import LABEL_INSTRUMENT, BoundingBox, ScoredBox
+from scopeline.geometry import LABEL_INSTRUMENT, LABEL_POLYP, BoundingBox, ScoredBox
 
-from conftest import pixel_grid_iou
+from conftest import oracle_match_frame, pixel_grid_iou
 
 POLYP = BoundingBox(10, 10, 20, 20)
 ELSEWHERE = BoundingBox(60, 60, 20, 20)  # IoU 0 with POLYP
@@ -93,7 +95,142 @@ class TestMatchFrame:
         assert match_frame([instrument], None) == ConfusionCounts(tp=0, fp=0, fn=0)
 
 
+# Repeated scores make ties, which go in input order.
+SCORES = (0.3, 0.5, 0.5, 0.8, 0.95)
+
+
+def random_box(rng: random.Random, near: BoundingBox | None = None) -> BoundingBox:
+    """A box on a small grid, or ``near`` moved and resized by up to 3 px a side."""
+    if near is None:
+        return BoundingBox(rng.randrange(24), rng.randrange(24), rng.randint(1, 12), rng.randint(1, 12))
+    return BoundingBox(
+        max(0, near.x + rng.randint(-3, 3)),
+        max(0, near.y + rng.randint(-3, 3)),
+        max(1, near.w + rng.randint(-3, 3)),
+        max(1, near.h + rng.randint(-3, 3)),
+    )
+
+
+def random_label(rng: random.Random) -> str:
+    return LABEL_INSTRUMENT if rng.random() < 0.15 else LABEL_POLYP
+
+
+def random_frame(rng: random.Random, video_id: str = "v", frame_index: int = 0):
+    """Up to 5 predictions, most near one of up to 3 truth boxes, and the frame's truth row or None."""
+    gts = [random_box(rng) for _ in range(rng.randrange(4))]
+    truth = None
+    if gts or rng.random() < 0.3:
+        truth = FrameAnnotation(video_id, frame_index, tuple(LabeledBox(g, random_label(rng)) for g in gts))
+    predictions = [
+        ScoredBox(random_box(rng, rng.choice(gts) if gts and rng.random() < 0.7 else None), rng.choice(SCORES),
+                  label=random_label(rng))
+        for _ in range(rng.randrange(6))
+    ]
+    return predictions, truth
+
+
+class TestMatchFrameOracle:
+    @pytest.mark.parametrize(
+        "criterion, threshold",
+        [(CRITERION_IOU, 0.5), (CRITERION_IOU, 0.3), (CRITERION_IOU, 0.75), (CRITERION_CENTROID, 0.5)],
+    )
+    def test_random_frames_agree_with_the_oracle(self, criterion, threshold):
+        rng = random.Random(1701)
+        cfg = MatchConfig(criterion, threshold)
+        for _ in range(600):
+            predictions, truth = random_frame(rng)
+            want = oracle_match_frame(predictions, truth, criterion, threshold)
+            assert match_frame(predictions, truth, cfg) == want, (predictions, truth)
+
+
+def random_video(rng: random.Random, video_id: str) -> VideoEvalInput:
+    """Annotation rows in shuffled order; polyps from a random frame on, or never (a polyp-free video)."""
+    frame_count = rng.randint(1, 30)
+    appearance = frame_count if rng.random() < 0.3 else rng.randrange(frame_count)
+    annotations, detections = [], {}
+    for frame_index in range(frame_count):
+        predictions, truth = random_frame(rng, video_id, frame_index)
+        if truth is not None and frame_index < appearance:
+            truth = FrameAnnotation(video_id, frame_index, tuple(lb for lb in truth.boxes if lb.label != LABEL_POLYP))
+        if truth is not None:
+            annotations.append(truth)
+        if predictions or rng.random() < 0.5:
+            detections[frame_index] = predictions
+    rng.shuffle(annotations)
+    return VideoEvalInput(video_id, rng.choice((25.0, 30.0, 60.0)), frame_count, tuple(annotations), detections)
+
+
+def two_pass_reference(videos: list[VideoEvalInput], cfg: MatchConfig, window: int):
+    """Counts, clip records and exact FP rates by brute force: every frame is matched by the
+    oracle, then the polyp frames are scanned again for the clip's first TP."""
+    total = ConfusionCounts()
+    clips, rates = [], []
+    for video in sorted(videos, key=lambda v: v.video_id):
+        by_frame = {a.frame_index: a for a in video.annotations}
+
+        def counts(frame_index: int) -> ConfusionCounts:
+            predictions = video.detections_by_frame.get(frame_index, [])
+            return oracle_match_frame(predictions, by_frame.get(frame_index), cfg.criterion, cfg.iou_match_threshold)
+
+        fp_frames = []
+        for i in range(video.frame_count):
+            frame_counts = counts(i)
+            total = total + frame_counts
+            if frame_counts.fp >= 1:
+                fp_frames.append(i)
+        polyp_frames = sorted(a.frame_index for a in video.annotations if any(lb.label == LABEL_POLYP for lb in a.boxes))
+        if polyp_frames:
+            detected = [i for i in polyp_frames if counts(i).tp >= 1]
+            clips.append(ClipRecord(video.video_id, polyp_frames[0], detected[0] if detected else None, video.fps))
+        else:
+            incidents = sum(1 for k, i in enumerate(fp_frames) if k == 0 or i - fp_frames[k - 1] > window)
+            rates.append((video.video_id, Fraction(incidents * 60) * Fraction(video.fps) / video.frame_count))
+    return total, tuple(clips), rates
+
+
+@pytest.mark.parametrize("criterion", [CRITERION_IOU, CRITERION_CENTROID])
+def test_evaluate_videos_agrees_with_a_two_pass_reference(criterion):
+    rng = random.Random(2101)
+    cfg = MatchConfig(criterion)
+    for _ in range(40):
+        videos = [random_video(rng, f"video-{i}") for i in range(rng.randint(1, 5))]
+        rng.shuffle(videos)
+        window = rng.randint(0, 4)
+        report = evaluate_videos(videos, cfg, window)
+        total, clips, rates = two_pass_reference(videos, cfg, window)
+        assert (report.counts, report.clip_records) == (total, clips)
+        assert [video_id for video_id, _ in report.fp_rates] == [video_id for video_id, _ in rates]
+        assert [rate for _, rate in report.fp_rates] == pytest.approx([float(rate) for _, rate in rates], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "annotated, detected, message",
+    [
+        ((9, 10), (), "video v: annotation frame 10 lies outside [0, 10)"),
+        ((-1,), (), "video v: annotation frame -1 lies outside [0, 10)"),
+        ((), (0, 10), "video v: results frame 10 lies outside [0, 10)"),
+        ((), (-1,), "video v: results frame -1 lies outside [0, 10)"),
+        ((3, 3), (), "video v: more than one annotation row for a frame"),
+    ],
+    ids=["annotation-past-the-end", "annotation-before-0", "results-past-the-end", "results-before-0", "frame-annotated-twice"],
+)
+def test_video_input_holds_frames_of_the_video_and_one_row_a_frame(annotated, detected, message):
+    annotations = tuple(FrameAnnotation("v", i, (LabeledBox(POLYP),)) for i in annotated)
+    detections = {i: [ScoredBox(POLYP, 0.9)] for i in detected}
+    with pytest.raises(DataFormatError) as excinfo:
+        VideoEvalInput("v", 30.0, 10, annotations, detections)
+    assert str(excinfo.value) == message
+
+
 class TestTimeToFirstDetection:
+    """The clip record ``evaluate_videos`` builds for a video with polyps."""
+
+    @staticmethod
+    def clip_record(annotations, detections, fps: float) -> ClipRecord:
+        frame_count = max(a.frame_index for a in annotations) + 1
+        [record] = evaluate_videos([VideoEvalInput("v", fps, frame_count, annotations, detections)]).clip_records
+        return record
+
     def test_delay_in_seconds_at_the_stream_fps(self):
         annotations = polyp_annotations("v", range(10, 21))
         detections = {
@@ -102,17 +239,17 @@ class TestTimeToFirstDetection:
             16: [ScoredBox(POLYP, 0.9)],
             18: [ScoredBox(POLYP, 0.9)],
         }
-        record = time_to_first_detection("v", annotations, detections, fps=30.0)
-        assert (record.first_appearance_frame, record.detection_frame) == (10, 16)
+        record = self.clip_record(annotations, detections, fps=30.0)
+        assert (record.clip_id, record.first_appearance_frame, record.detection_frame) == ("v", 10, 16)
         assert record.delay_seconds == float(Fraction(16 - 10, 30))
 
     def test_detection_on_the_first_frame_is_zero_delay(self):
-        record = time_to_first_detection("v", polyp_annotations("v", range(4, 8)), {4: [ScoredBox(POLYP, 0.5)]}, 60.0)
+        record = self.clip_record(polyp_annotations("v", range(4, 8)), {4: [ScoredBox(POLYP, 0.5)]}, 60.0)
         assert record.delay_seconds == 0.0
 
     def test_never_detected_is_none(self):
         annotations = polyp_annotations("v", range(0, 5))
-        record = time_to_first_detection("v", annotations, {2: [ScoredBox(ELSEWHERE, 0.9)]}, fps=60.0)
+        record = self.clip_record(annotations, {2: [ScoredBox(ELSEWHERE, 0.9)]}, fps=60.0)
         assert record.detection_frame is None
         assert record.delay_seconds is None
 
