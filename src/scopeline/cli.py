@@ -14,14 +14,16 @@ Log verbosity comes from the SCOPELINE_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .annotations import FrameAnnotation, annotations_by_frame, load_annotations
@@ -35,9 +37,6 @@ from .evaluation import (
     MatchConfig,
     VideoEvalInput,
     evaluate_videos,
-    write_clips_csv,
-    write_fp_cdf_csv,
-    write_recall_curve_csv,
 )
 from .media import DirectoryFrameStream, StreamInfo
 from .pipeline import Pipeline, PipelineConfig, load_results, result_to_dict
@@ -49,19 +48,22 @@ MANIFEST_NAME = "manifest.json"
 LATENCY_REPORT_NAME = "latency_report.json"
 
 
-def _atomic_write(path: Path, write_fn: Callable[[Path], None]) -> None:
-    """``write_fn`` writes a temporary file that replaces ``path``, or is removed if it raises."""
+@contextmanager
+def _atomic_output(path: Path) -> Iterator[TextIO]:
+    """A temporary text file that replaces ``path`` when the block ends, or is removed if it raises."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        write_fn(tmp)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, lambda p: p.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8"))
+def _write_json(path: Path, payload: dict) -> None:
+    with _atomic_output(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -140,24 +142,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
-    summaries = []
+    with _atomic_output(out / RESULTS_NAME) as fh, Pipeline(config, truth) as pipeline:
+        def sink(result) -> None:
+            fh.write(json.dumps(result_to_dict(result), separators=(",", ":")) + "\n")
 
-    def write_rows(tmp_path: Path) -> None:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            def sink(result) -> None:
-                fh.write(json.dumps(result_to_dict(result), separators=(",", ":")) + "\n")
-
-            with Pipeline(config, truth) as pipeline:
-                summaries.append(pipeline.process_stream(stream, sink))
-
-    _atomic_write(out / RESULTS_NAME, write_rows)
-    summary = summaries[0]
+        summary = pipeline.process_stream(stream, sink)
 
     recorded_input = RecordedStream(**asdict(stream.info), path=str(input_dir))
     annotations = str(annotations_path) if annotations_path else None
     manifest = RunManifest("scopeline", __version__, config, recorded_input, annotations)
-    _atomic_write_json(out / MANIFEST_NAME, to_json(manifest))
-    _atomic_write_json(out / LATENCY_REPORT_NAME, summary.latency)
+    _write_json(out / MANIFEST_NAME, to_json(manifest))
+    _write_json(out / LATENCY_REPORT_NAME, summary.latency)
 
     fps = summary.latency["throughput_fps"]
     fps_text = f", accounted throughput {fps:.2f} fps" if fps else ""
@@ -228,10 +223,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_json(out / "metrics.json", report.to_dict())
-    _atomic_write(out / "clips.csv", lambda p: write_clips_csv(p, report.clip_records))
-    _atomic_write(out / "recall_curve.csv", lambda p: write_recall_curve_csv(p, report.clip_records))
-    _atomic_write(out / "fp_cdf.csv", lambda p: write_fp_cdf_csv(p, report.fp_rates))
+    _write_json(out / "metrics.json", report.to_dict())
+    for name, rows in report.tables().items():
+        with _atomic_output(out / name) as fh:
+            csv.writer(fh).writerows(rows)
 
     metrics = report.metrics
 

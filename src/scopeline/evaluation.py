@@ -17,9 +17,7 @@ Undefined metrics (zero denominators) are reported as None, never as 0.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .annotations import FrameAnnotation
@@ -250,6 +248,20 @@ class EvalReport:
             "fp_videos": len(self.fp_rates),
         }
 
+    def tables(self) -> dict[str, list[list[str]]]:
+        """Each CSV output's rows, header first, keyed by file name; a table with no data holds its header alone."""
+        clips = [["clip_id", "delay_seconds"]]
+        for record in self.clip_records:
+            delay = record.delay_seconds
+            clips.append([record.clip_id, "" if delay is None else f"{delay:.6g}"])
+        recall = [["t_seconds", "recall"]]
+        if self.clip_records:
+            recall += [[f"{t:g}", f"{recall_at(self.clip_records, t):.6g}"] for t in RECALL_CURVE_HORIZONS]
+        fp_cdf = [["fp_per_minute", "cumulative_fraction"]]
+        if self.fp_rates:
+            fp_cdf += [[f"{rate:.6g}", f"{fraction:.6g}"] for rate, fraction in ecdf([r for _, r in self.fp_rates])]
+        return {"clips.csv": clips, "recall_curve.csv": recall, "fp_cdf.csv": fp_cdf}
+
 
 def evaluate_videos(
     inputs: Sequence[VideoEvalInput],
@@ -289,31 +301,3 @@ def evaluate_videos(
             fp_rates.append((video.video_id, fp_per_minute(incidents, video.frame_count, video.fps)))
     return EvalReport(total, prf(total), tuple(clip_records), tuple(fp_rates), cfg)
 
-
-def write_clips_csv(path: str | Path, records: Sequence[ClipRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", "delay_seconds"])
-        for record in records:
-            delay = record.delay_seconds
-            writer.writerow([record.clip_id, "" if delay is None else f"{delay:.6g}"])
-
-
-def write_recall_curve_csv(path: str | Path, records: Sequence[ClipRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_seconds", "recall"])
-        if not records:
-            return
-        for horizon in RECALL_CURVE_HORIZONS:
-            writer.writerow([f"{horizon:g}", f"{recall_at(records, horizon):.6g}"])
-
-
-def write_fp_cdf_csv(path: str | Path, fp_rates: Sequence[tuple[str, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fp_per_minute", "cumulative_fraction"])
-        if not fp_rates:
-            return
-        for rate, fraction in ecdf([rate for _, rate in fp_rates]):
-            writer.writerow([f"{rate:.6g}", f"{fraction:.6g}"])

@@ -4,10 +4,10 @@ Each stage of a frame records its real time (monotonic clock, less any stage
 nested in it) and the simulated latency its config charges, so the
 paper-scale timing arithmetic is testable in milliseconds of real time. A
 stage's accounted time is its real time plus its simulated latency. The
-accounting rule: ``total_wall`` is the frame's real wall time with each
-stage's real time replaced by its accounted time, and with the overlapped
-detector block of parallel execution charged at the larger of its two
-stages' accounted times.
+accounting rule: ``total_wall`` is the frame's real wall time plus a
+surcharge. Each stage adds its simulated latency to it; the overlapped
+detector block of parallel execution instead adds its slower stage's
+accounted time less the block's real wall time.
 
 Execution modes: ``sequential`` runs detector A then B; ``parallel``
 overlaps them. The size-aware ensemble decides whether B runs at all from
@@ -180,11 +180,6 @@ def build_gate(config: GateConfig) -> BlurGate | None:
     return ExternalBlurGate(_connect(config.external))
 
 
-def _simulated_ms(spec: DetectorSpec) -> float:
-    """A detector's simulated cost: its synthetic config's, or 0 for an external backend."""
-    return spec.simulated_latency_ms if isinstance(spec, SyntheticDetectorConfig) else 0.0
-
-
 def _timed(fn: Callable, *args) -> tuple[object, float]:
     """``fn(*args)`` and the real milliseconds it took."""
     start = perf_counter()
@@ -193,56 +188,53 @@ def _timed(fn: Callable, *args) -> tuple[object, float]:
 
 
 class StageTimer:
-    """One frame's stage clock: ``(real_ms, simulated_ms)`` per stage.
+    """One frame's stage clock: ``(real_ms, simulated_ms)`` per stage, from a table of simulated ms.
 
-    A stage's real time excludes the stages nested inside it;
-    :meth:`latencies` applies the accounting rule of the module docstring.
+    A stage's real time excludes the stages nested inside it. ``total_wall``
+    is the frame's real wall time plus a surcharge, by the module docstring's rule.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, simulated_ms: Mapping[str, float]) -> None:
         self.stages: dict[str, tuple[float, float]] = {}
+        self._simulated = simulated_ms
         self._start = perf_counter()
         # Real ms of the finished stages nested in each open stage; [0] is the frame.
         self._nested = [0.0]
-        # Each overlapped block: its wall ms and the names of its stages.
-        self._blocks: list[tuple[float, tuple[str, ...]]] = []
+        self._surcharge = 0.0
 
-    def run(self, name: str, simulated_ms: float, fn: Callable, *args):
+    def run(self, name: str, fn: Callable, *args):
         """Call ``fn(*args)`` as stage ``name`` and return its result."""
+        simulated = self._simulated[name]
         self._nested.append(0.0)
         result, real_ms = _timed(fn, *args)
-        self.stages[name] = (real_ms - self._nested.pop(), simulated_ms)
+        self.stages[name] = (real_ms - self._nested.pop(), simulated)
         self._nested[-1] += real_ms
+        self._surcharge += simulated
         return result
 
     def run_overlapped(self, pool: ThreadPoolExecutor, *calls: tuple) -> list:
-        """Run each ``(name, simulated_ms, fn, *args)`` call as a stage, all at once on ``pool``.
+        """Run each ``(name, fn, *args)`` call as a stage, all at once on ``pool``.
 
         Waits for every call before raising the first failure, so that no
         call outlives its frame.
         """
         start = perf_counter()
-        futures = [pool.submit(_timed, fn, *args) for _name, _simulated_ms, fn, *args in calls]
+        futures = [pool.submit(_timed, fn, *args) for _name, fn, *args in calls]
         wait(futures)
         wall_ms = (perf_counter() - start) * 1000.0
         self._nested[-1] += wall_ms
-        self._blocks.append((wall_ms, tuple(call[0] for call in calls)))
         results = []
-        for (name, simulated_ms, *_), future in zip(calls, futures):
+        for (name, *_), future in zip(calls, futures):
             result, real_ms = future.result()
-            self.stages[name] = (real_ms, simulated_ms)
+            self.stages[name] = (real_ms, self._simulated[name])
             results.append(result)
+        self._surcharge += max(sum(self.stages[name]) for name, *_ in calls) - wall_ms
         return results
 
     def latencies(self) -> dict[str, float]:
         """Accounted ms per stage, plus the frame's accounted ``total_wall``."""
         accounted = {name: real + simulated for name, (real, simulated) in self.stages.items()}
-        overlapped = {name for _, names in self._blocks for name in names}
-        # (real ms, accounted ms) of every stage outside a block and of every block.
-        charges = [(real, accounted[name]) for name, (real, _) in self.stages.items() if name not in overlapped]
-        charges += [(wall, max(accounted[name] for name in names)) for wall, names in self._blocks]
-        frame_ms = (perf_counter() - self._start) * 1000.0
-        accounted[STAGE_TOTAL] = frame_ms + sum(charged - real for real, charged in charges)
+        accounted[STAGE_TOTAL] = (perf_counter() - self._start) * 1000.0 + self._surcharge
         return accounted
 
 
@@ -255,6 +247,10 @@ class Pipeline:
         truth: Mapping[int, FrameAnnotation] | None = None,
     ):
         self.config = config
+        # Simulated ms per stage; an external detector charges none.
+        self._simulated = {STAGE_GATE: config.gate.simulated_latency_ms, STAGE_ENSEMBLE: 0.0}
+        for stage, spec in ((STAGE_DETECTOR_A, config.detector_a), (STAGE_DETECTOR_B, config.detector_b)):
+            self._simulated[stage] = spec.simulated_latency_ms if isinstance(spec, SyntheticDetectorConfig) else 0.0
         truth = dict(truth) if truth else {}
         self._pool: ThreadPoolExecutor | None = None
         self.gate = self.detector_a = self.detector_b = None
@@ -290,23 +286,22 @@ class Pipeline:
         Backend failures propagate as ScopelineError; stream drivers catch
         them and mark the frame failed (see :meth:`process_stream`).
         """
-        timer = StageTimer()
+        timer = StageTimer(self._simulated)
         blurry = False
         if self.gate is not None:
-            blurry = timer.run(STAGE_GATE, self.config.gate.simulated_latency_ms, self.gate.is_blurry, frame)
+            blurry = timer.run(STAGE_GATE, self.gate.is_blurry, frame)
         detections = () if blurry else tuple(self._detect(frame, timer))
         return PipelineResult(frame.frame_index, blurry, detections, timer.latencies())
 
     def _detect(self, frame: Frame, timer: StageTimer) -> list[ScoredBox]:
         """Both detectors and the ensemble, each timed as its stage."""
-        a_ms, b_ms = _simulated_ms(self.config.detector_a), _simulated_ms(self.config.detector_b)
-        call_a = (STAGE_DETECTOR_A, a_ms, self.detector_a.detect, frame)
-        call_b = (STAGE_DETECTOR_B, b_ms, self.detector_b.detect, frame)
+        call_a = (STAGE_DETECTOR_A, self.detector_a.detect, frame)
+        call_b = (STAGE_DETECTOR_B, self.detector_b.detect, frame)
         ensemble = self.config.ensemble
         if ensemble.mode == MODE_SIZE_AWARE:
             boxes_a = timer.run(*call_a)
             detections, _b_invoked = timer.run(
-                STAGE_ENSEMBLE, 0.0, size_aware_ensemble,
+                STAGE_ENSEMBLE, size_aware_ensemble,
                 boxes_a, lambda: timer.run(*call_b), frame.width, frame.height, ensemble,
             )
             return detections
@@ -314,7 +309,7 @@ class Pipeline:
             boxes_a, boxes_b = timer.run(*call_a), timer.run(*call_b)
         else:
             boxes_a, boxes_b = timer.run_overlapped(self._pool, call_a, call_b)
-        return timer.run(STAGE_ENSEMBLE, 0.0, and_ensemble, boxes_a, boxes_b, ensemble)
+        return timer.run(STAGE_ENSEMBLE, and_ensemble, boxes_a, boxes_b, ensemble)
 
     def process_stream(self, stream, sink: Callable[[PipelineResult], None]) -> RunSummary:
         """Process every frame of a stream, delivering results in frame order.
@@ -325,9 +320,7 @@ class Pipeline:
         samples: dict[str, list[float]] = {}
         blurry_frames = 0
         failed_frames = 0
-        frames = 0
         for frame_index in range(stream.frame_count):
-            frames += 1
             try:
                 frame = stream.read_frame(frame_index)
                 result = self.process_frame(frame)
@@ -339,6 +332,7 @@ class Pipeline:
             for stage, value in result.stage_latencies.items():
                 samples.setdefault(stage, []).append(value)
             sink(result)
+        frames = stream.frame_count
         return RunSummary(frames, blurry_frames, failed_frames, latency_report(samples, frames))
 
 
