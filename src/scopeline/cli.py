@@ -183,6 +183,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rows_by_video.setdefault(annotation.video_id, []).append(annotation)
 
     inputs = []
+    scored: dict[str, Path] = {}  # the results file of each video scored so far
     for index, entry in enumerate(args.results):
         results_path, manifest_path = _results_source(entry)
         if not results_path.is_file():
@@ -198,12 +199,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             video_id = results_path.parent.name or f"run-{index:03d}"
             fps = args.fps
             frame_count = 0
+        if video_id in scored:
+            raise DataFormatError(f"video {video_id} has two results files: {scored[video_id]} and {results_path}")
+        scored[video_id] = results_path
         detections_by_frame = {}
         for r in results:
             if r.frame_index in detections_by_frame:
                 raise DataFormatError(f"{results_path}: duplicate results row for frame {r.frame_index}")
             detections_by_frame[r.frame_index] = r.detections
-        video_annotations = tuple(annotations_by_frame(rows_by_video.get(video_id, ()), video_id).values())
+        video_annotations = tuple(annotations_by_frame(rows_by_video.pop(video_id, ()), video_id).values())
         if not frame_count:
             candidates = [*detections_by_frame, *(a.frame_index for a in video_annotations)]
             frame_count = max(candidates) + 1 if candidates else 0
@@ -218,6 +222,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 detections_by_frame=detections_by_frame,
             )
         )
+    # Recall and FP rates cover every annotated video, so a partial eval needs a filtered annotations file.
+    if rows_by_video:
+        raise DataFormatError(f"{args.annotations}: no results for annotated videos {', '.join(sorted(rows_by_video))}")
 
     report = evaluate_videos(inputs, match_cfg, args.merge_window)
 

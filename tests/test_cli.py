@@ -224,6 +224,33 @@ def test_eval_rejects_a_duplicate_results_row(tmp_path, dataset, capsys):
     assert not (tmp_path / "metrics").exists()
 
 
+def test_eval_rejects_a_video_named_by_two_results_entries(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset) == 0
+    (tmp_path / "again").mkdir()
+    assert run(tmp_path / "again", dataset) == 0
+    first, second = tmp_path / "out" / "results.jsonl", tmp_path / "again" / "out" / "results.jsonl"
+    code = eval_runs_to(tmp_path / "metrics", dataset / "annotations.jsonl", [first.parent, second.parent])
+    assert code == 3
+    assert f"video video-000 has two results files: {first} and {second}" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+def test_eval_rejects_an_annotated_video_without_results(tmp_path, capsys):
+    spec = DatasetSpec(videos=3, frames_per_video=6, polyps_per_video=1, seed=4, width=32, height=24,
+                       polyp_edge_range=(4, 12))
+    write_dataset(spec, tmp_path / "dataset")
+    runs = run_videos(tmp_path, CONFIG, spec.videos)
+    annotations = tmp_path / "dataset" / "annotations.jsonl"
+    assert eval_runs_to(tmp_path / "metrics", annotations, runs[1:2]) == 3
+    assert f"{annotations}: no results for annotated videos video-000, video-002" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+    # With the other videos' rows filtered out, the same run evaluates.
+    rows = annotations.read_text(encoding="utf-8").splitlines()
+    annotations.write_text("".join(row + "\n" for row in rows if '"video-001"' in row), encoding="utf-8")
+    assert eval_runs_to(tmp_path / "metrics", annotations, runs[1:2]) == 0
+    assert json.loads((tmp_path / "metrics" / "metrics.json").read_text(encoding="utf-8"))["clips"]["total"] == 1
+
+
 @pytest.mark.parametrize(
     "kind, frame",
     [("results", SPEC.frames_per_video), ("results", -3), ("annotation", SPEC.frames_per_video), ("annotation", -50)],
