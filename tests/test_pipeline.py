@@ -8,6 +8,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -24,7 +25,7 @@ from scopeline.media import DirectoryFrameStream
 from scopeline.backends.external import SocketTransport
 from scopeline.pipeline import GateConfig, Pipeline, PipelineConfig
 
-from conftest import MemoryFrameStream
+from conftest import MemoryFrameStream, checkerboard_frame
 
 # Polyp edges of 10-14 px straddle the size-aware threshold of 0.1 x 120 = 12 px,
 # so detector A's jitter decides frame by frame whether B runs.
@@ -226,6 +227,24 @@ def test_parallel_failure_waits_for_the_other_detector():
     assert summary.failed_frames == 20
     assert slow.calls == 20
     assert slow.max_in_flight == 1
+
+
+def test_run_memory_is_8_bytes_a_stage_sample():
+    frames = 4000
+    stream = MemoryFrameStream([checkerboard_frame(16, 16)] * frames)  # clear: every stage runs
+    config = PipelineConfig(detector_a=SyntheticDetectorConfig(seed=1), detector_b=SyntheticDetectorConfig(seed=2))
+    with Pipeline(config) as pipeline:
+        tracemalloc.start()
+        try:
+            summary = pipeline.process_stream(stream, lambda result: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    stages = summary.latency["stages"]
+    assert sorted(stages) == ["detector_a", "detector_b", "ensemble", "gate", "total_wall"]
+    assert all(stats["count"] == frames for stats in stages.values())
+    # Five stages a frame: about 115 bytes a frame as float arrays, 185 as lists of float objects.
+    assert peak < 150 * frames
 
 
 def test_failed_build_closes_the_backends_already_started(tmp_path, monkeypatch):
