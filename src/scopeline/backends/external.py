@@ -6,7 +6,7 @@ TCP backend gets the socket of ``socket.create_connection``. Both carry the
 timeout :data:`IO_TIMEOUT_S`, which limits each send or receive, not a whole
 request: a backend that stops reading or never answers fails that frame, and
 so does one that needs longer than that to start reading its first request
-(the stub, a fresh interpreter, answers its first one about 0.2 s after spawn).
+(the stub, a fresh interpreter, answers its first one about 85 ms after spawn).
 Requests on one connection are serialized, and every response must echo its
 request's ``frame_index`` as a JSON integer. :meth:`ExternalClient.request`
 alone decides when to distrust a connection: it closes it on a timeout or
