@@ -300,4 +300,3 @@ def evaluate_videos(
             incidents = fp_incidents(fp_frames, merge_window_frames)
             fp_rates.append((video.video_id, fp_per_minute(incidents, video.frame_count, video.fps)))
     return EvalReport(total, prf(total), tuple(clip_records), tuple(fp_rates), cfg)
-
