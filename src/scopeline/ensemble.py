@@ -1,10 +1,11 @@
 """Dual-detector fusion: the IoU-confirmed AND rule and its size-aware variant.
 
 AND rule: a detection survives only when the other detector produced an
-overlapping box (IoU strictly above the threshold); the surviving pair is
-collapsed by NMS. Size-aware rule: detector-A boxes whose short edge is
-small relative to the image bypass confirmation entirely, and detector B
-is not invoked at all when no large A box needs confirming.
+overlapping box (IoU above the threshold); the surviving pair is collapsed
+by NMS. Size-aware rule: detector-A boxes whose short edge, over the
+image's, is below its threshold bypass confirmation, and detector B is not
+invoked when no large A box needs confirming. Both thresholds follow the
+threshold rule of :mod:`scopeline.geometry`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import ConfigError
-from .geometry import SOURCE_ENSEMBLE, ScoredBox, iou, nms, short_edge_ratio
+from .geometry import SOURCE_ENSEMBLE, ScoredBox, compare_iou, compare_ratio, nms
 
 MODE_AND = "and"
 MODE_SIZE_AWARE = "size_aware"
@@ -50,11 +51,11 @@ def and_ensemble(
     """Keep boxes confirmed by the other detector, collapsed by NMS.
 
     A box is confirmed when some box on the other side overlaps it with IoU
-    strictly above ``cfg.iou_threshold``; unconfirmed boxes are dropped.
+    above ``cfg.iou_threshold``; unconfirmed boxes are dropped.
     """
     threshold = cfg.iou_threshold
-    confirmed = [sa for sa in a if any(iou(sa.box, sb.box) > threshold for sb in b)]
-    confirmed += [sb for sb in b if any(iou(sb.box, sa.box) > threshold for sa in a)]
+    confirmed = [sa for sa in a if any(compare_iou(sa.box, sb.box, threshold) > 0 for sb in b)]
+    confirmed += [sb for sb in b if any(compare_iou(sb.box, sa.box, threshold) > 0 for sa in a)]
     return _tag_ensemble(nms(confirmed, threshold))
 
 
@@ -68,21 +69,21 @@ def size_aware_ensemble(
     """Pass small detector-A boxes through; confirm large ones against detector B.
 
     ``b_supplier`` runs detector B on the same frame and is called only when
-    some A box is at or above the short-edge-ratio threshold. Returns the
-    fused detections plus whether B was invoked.
+    some A box is large: not below the short-edge-ratio threshold. Returns
+    the fused detections plus whether B was invoked; ValueError when an A
+    box exceeds the image.
     """
     small: list[ScoredBox] = []
     large: list[ScoredBox] = []
     for sa in a:
-        if short_edge_ratio(sa.box, image_w, image_h) < cfg.short_edge_ratio_threshold:
+        if not sa.box.within(image_w, image_h):
+            raise ValueError(f"box {sa.box} exceeds image extent {image_w}x{image_h}")
+        if compare_ratio(min(sa.box.w, sa.box.h), min(image_w, image_h), cfg.short_edge_ratio_threshold) < 0:
             small.append(sa)
         else:
             large.append(sa)
 
     fused = _tag_ensemble(small)
-    b_was_invoked = False
     if large:
-        b_boxes = list(b_supplier())
-        b_was_invoked = True
-        fused.extend(and_ensemble(large, b_boxes, cfg))
-    return nms(fused, cfg.iou_threshold), b_was_invoked
+        fused.extend(and_ensemble(large, list(b_supplier()), cfg))
+    return nms(fused, cfg.iou_threshold), bool(large)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .annotations import FrameAnnotation
 from .codec import to_json
 from .errors import ConfigError, DataFormatError
-from .geometry import LABEL_POLYP, BoundingBox, ScoredBox, iou
+from .geometry import LABEL_POLYP, BoundingBox, ScoredBox, compare_iou, iou
 
 CRITERION_IOU = "iou"
 CRITERION_CENTROID = "centroid"
@@ -80,10 +80,10 @@ def match_frame(
     """Greedy per-frame matching into TP/FP/FN.
 
     Predictions are taken in descending score order; each claims the
-    unmatched ground-truth box of highest IoU at or above the threshold
-    (``iou`` criterion) or of highest IoU among boxes containing the
-    prediction's center (``centroid`` criterion). Only polyps are scored:
-    boxes of any other label are ignored on both sides.
+    unmatched ground-truth box of highest IoU among those at or above the
+    threshold (``iou`` criterion, by the rule of :mod:`scopeline.geometry`)
+    or containing the prediction's center (``centroid`` criterion). Only
+    polyps are scored: boxes of any other label are ignored on both sides.
     """
     gt_boxes = truth.polyp_boxes() if truth is not None else []
     preds = [p for p in predictions if p.label == LABEL_POLYP]
@@ -98,13 +98,11 @@ def match_frame(
             if matched[gi]:
                 continue
             if cfg.criterion == CRITERION_IOU:
-                overlap = iou(pred.box, gt)
-                if overlap < cfg.iou_match_threshold:
+                if compare_iou(pred.box, gt, cfg.iou_match_threshold) < 0:
                     continue
-            else:
-                if not _center_inside(pred.box, gt):
-                    continue
-                overlap = iou(pred.box, gt)
+            elif not _center_inside(pred.box, gt):
+                continue
+            overlap = iou(pred.box, gt)
             if overlap > best_iou:
                 best_iou = overlap
                 best_index = gi

@@ -1,14 +1,21 @@
-"""Exact integer box geometry: IoU, NMS, short-edge ratio.
+"""Exact integer box geometry: IoU, NMS, and the threshold rule for ratios.
 
 Boxes are half-open pixel grids: ``(x, y, w, h)`` covers the pixel set
 ``[x, x+w) x [y, y+h)``. Areas and intersections are therefore exact
 integers, IoU is their correctly rounded quotient, and a brute-force
 pixel-counting check is an equality test rather than a tolerance test.
+
+The threshold rule: every decision that compares a ratio of pixel counts
+(IoU, short-edge ratio) with a threshold ``t`` reads ``t`` as the decimal it
+prints as, ``Fraction(repr(t))``, and compares in integers, in
+:func:`compare_ratio`. So an IoU of exactly 1/3 lies above ``0.3333333333333333``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 SOURCE_A = "detector-A"
@@ -112,13 +119,22 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def short_edge_ratio(box: BoundingBox, image_w: int, image_h: int) -> float:
-    """Box short edge divided by image short edge."""
-    if image_w < 1 or image_h < 1:
-        raise ValueError(f"image extent must be positive, got {image_w}x{image_h}")
-    if not box.within(image_w, image_h):
-        raise ValueError(f"box {box} exceeds image extent {image_w}x{image_h}")
-    return min(box.w, box.h) / min(image_w, image_h)
+@cache
+def _decimal_ratio(threshold: float) -> tuple[int, int]:
+    return Fraction(repr(threshold)).as_integer_ratio()
+
+
+def compare_ratio(part: int, whole: int, threshold: float) -> int:
+    """-1, 0 or 1 as ``part / whole`` (``whole`` > 0) lies below, at or above ``threshold``."""
+    num, den = _decimal_ratio(threshold)
+    lhs, rhs = part * den, num * whole
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def compare_iou(a: BoundingBox, b: BoundingBox, threshold: float) -> int:
+    """:func:`compare_ratio` of the boxes' exact IoU with ``threshold``."""
+    inter = intersection_area(a, b)
+    return compare_ratio(inter, a.area + b.area - inter, threshold)
 
 
 def _nms_sort_key(indexed: tuple[int, ScoredBox]) -> tuple[float, int, int]:
@@ -131,15 +147,15 @@ def nms(boxes: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
     """Greedy non-maximum suppression.
 
     Repeatedly keeps the highest-score box and discards remaining boxes whose
-    IoU with it exceeds ``iou_threshold``. Score ties fall to detector-A
-    before detector-B, then to input order. Output is sorted by descending
-    score.
+    IoU with it lies above ``iou_threshold`` (:func:`compare_iou`). Score ties
+    fall to detector-A before detector-B, then to input order. Output is
+    sorted by descending score.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
     ordered = sorted(enumerate(boxes), key=_nms_sort_key)
     kept: list[ScoredBox] = []
     for _, candidate in ordered:
-        if all(iou(candidate.box, k.box) <= iou_threshold for k in kept):
+        if all(compare_iou(candidate.box, k.box, iou_threshold) <= 0 for k in kept):
             kept.append(candidate)
     return kept

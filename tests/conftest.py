@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import os
+import random
 import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +15,7 @@ import pytest
 
 from scopeline.annotations import FrameAnnotation
 from scopeline.evaluation import CRITERION_IOU, ConfusionCounts
-from scopeline.geometry import LABEL_POLYP, BoundingBox, ScoredBox
+from scopeline.geometry import LABEL_POLYP, SOURCE_A, SOURCE_B, SOURCE_ENSEMBLE, BoundingBox, ScoredBox
 from scopeline.media import Frame
 
 # Backend subprocesses started by the tests (``python -m scopeline.backends.stub``)
@@ -57,6 +60,64 @@ def pixel_grid_iou(a: BoundingBox, b: BoundingBox) -> Fraction:
     return Fraction(inter, union)
 
 
+def decimal(threshold: float) -> Fraction:
+    """A threshold as the decimal it prints as: ``0.1`` is exactly 1/10, not the double nearest it."""
+    return Fraction(repr(threshold))
+
+
+def random_threshold(rng: random.Random, ratios=()) -> float:
+    """A threshold in (0, 1]: a short decimal (``0.15``), or the double nearest a fraction, either one
+    of the case's own positive ``ratios`` (so that ties occur) or a small one (``5 / 7``)."""
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.randint(1, 20) / 20
+    positive = [ratio for ratio in ratios if ratio > 0]
+    if roll < 0.7 and positive:
+        return float(rng.choice(positive))
+    d = rng.choice((3, 6, 7, 9, 11, 12))  # denominators of fractions that no short decimal prints
+    return rng.randint(1, d) / d
+
+
+def threshold_ties(ratios, threshold: float) -> Counter:
+    """How many ``ratios`` equal the threshold's decimal (``exact``), and how many differ from it but
+    round to the threshold's double (``above`` or ``below`` the decimal): the cases where a rule that
+    reads the threshold as a double, or compares the ratio as one, can answer wrongly."""
+    ties = Counter()
+    for ratio in ratios:
+        if ratio == decimal(threshold):
+            ties["exact"] += 1
+        elif float(ratio) == threshold:
+            ties["above" if ratio > decimal(threshold) else "below"] += 1
+    return ties
+
+
+def oracle_nms(boxes: list[ScoredBox], threshold: float) -> list[ScoredBox]:
+    """Greedy NMS in exact arithmetic: by descending score, then detector A, B and the ensemble,
+    then input order, a box is kept unless its ``pixel_grid_iou`` with a kept box lies above
+    the threshold's decimal."""
+    rank = {SOURCE_A: 0, SOURCE_B: 1, SOURCE_ENSEMBLE: 2}
+    order = sorted(range(len(boxes)), key=lambda i: (-Fraction(boxes[i].score), rank[boxes[i].source], i))
+    kept: list[ScoredBox] = []
+    for i in order:
+        if all(pixel_grid_iou(boxes[i].box, k.box) <= decimal(threshold) for k in kept):
+            kept.append(boxes[i])
+    return kept
+
+
+def oracle_and_ensemble(a: list[ScoredBox], b: list[ScoredBox], threshold: float) -> list[ScoredBox]:
+    """The boxes of either side with a ``pixel_grid_iou`` above the threshold's decimal against
+    some box of the other side, through :func:`oracle_nms`, tagged as the ensemble's."""
+    confirmed = [x for x in a if any(pixel_grid_iou(x.box, y.box) > decimal(threshold) for y in b)]
+    confirmed += [y for y in b if any(pixel_grid_iou(y.box, x.box) > decimal(threshold) for x in a)]
+    return [replace(box, source=SOURCE_ENSEMBLE) for box in oracle_nms(confirmed, threshold)]
+
+
+def oracle_is_small(box: BoundingBox, image_w: int, image_h: int, threshold: float) -> bool:
+    """Whether the box's short edge over the image's lies below the threshold's decimal, in integers."""
+    t = decimal(threshold)
+    return min(box.w, box.h) * t.denominator < t.numerator * min(image_w, image_h)
+
+
 def oracle_match_frame(
     predictions: list[ScoredBox], truth: FrameAnnotation | None, criterion: str, threshold: float
 ) -> ConfusionCounts:
@@ -65,7 +126,7 @@ def oracle_match_frame(
     Polyp predictions go by descending score, equal scores in input order.
     Each claims the unmatched polyp truth box of greatest ``pixel_grid_iou``
     (the first such box on a tie) among those it may match: exact IoU at or
-    above the threshold's exact value for ``iou``; for ``centroid``, its
+    above the threshold's decimal for ``iou``; for ``centroid``, its
     centre inside the half-open box, tested in integers on doubled
     coordinates.
     """
@@ -82,7 +143,7 @@ def oracle_match_frame(
                 continue
             overlap = pixel_grid_iou(pred, gt)
             if criterion == CRITERION_IOU:
-                eligible = overlap >= Fraction(threshold)
+                eligible = overlap >= decimal(threshold)
             else:
                 eligible = 2 * gt.x <= cx2 < 2 * gt.right and 2 * gt.y <= cy2 < 2 * gt.bottom
             if eligible and (best is None or overlap > best[0]):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -15,12 +18,27 @@ from scopeline.ensemble import (
 from scopeline.errors import ConfigError
 from scopeline.geometry import SOURCE_A, SOURCE_B, SOURCE_ENSEMBLE, BoundingBox, ScoredBox, iou
 
+from conftest import (
+    oracle_and_ensemble,
+    oracle_is_small,
+    oracle_nms,
+    pixel_grid_iou,
+    random_threshold,
+    threshold_ties,
+)
+
 W, H = 384, 288
 CFG = EnsembleConfig()
 
 
 def sb(x, y, w, h, score, source=SOURCE_A) -> ScoredBox:
     return ScoredBox(BoundingBox(x, y, w, h), score, source)
+
+
+def small_box(rng: random.Random, limit: int = 8) -> tuple[int, int, int, int]:
+    """``(x, y, w, h)`` inside a ``limit`` square, so that IoUs are fractions with small denominators."""
+    w, h = rng.randint(1, limit), rng.randint(1, limit)
+    return rng.randint(0, limit - w), rng.randint(0, limit - h), w, h
 
 
 def random_boxes(rng: random.Random, count: int, source: str) -> list[ScoredBox]:
@@ -62,6 +80,25 @@ class TestAndEnsemble:
         b = [sb(8, 1, 10, 11, 0.8, SOURCE_B)]
         assert iou(a[0].box, b[0].box) == 0.1
         assert and_ensemble(a, b, CFG) == []
+
+    def test_iou_of_one_third_lies_above_its_decimal(self):
+        a = [sb(0, 0, 2, 1, 0.9)]
+        b = [sb(1, 0, 2, 1, 0.8, SOURCE_B)]
+        assert pixel_grid_iou(a[0].box, b[0].box) == Fraction(1, 3)
+        out = and_ensemble(a, b, EnsembleConfig(iou_threshold=0.3333333333333333))
+        assert [(o.box, o.score) for o in out] == [(a[0].box, 0.9)]
+
+    def test_agrees_with_the_exact_oracle(self):
+        rng = random.Random(13)
+        ties = Counter()
+        for _ in range(600):
+            a = [sb(*small_box(rng, 4), rng.choice((0.4, 0.9))) for _ in range(rng.randrange(0, 4))]
+            b = [sb(*small_box(rng, 4), rng.choice((0.4, 0.8)), SOURCE_B) for _ in range(rng.randrange(0, 4))]
+            ratios = [pixel_grid_iou(x.box, y.box) for x in a for y in b]
+            threshold = random_threshold(rng, ratios)
+            ties += threshold_ties(ratios, threshold)
+            assert and_ensemble(a, b, EnsembleConfig(iou_threshold=threshold)) == oracle_and_ensemble(a, b, threshold)
+        assert len(ties) == 3, ties  # every kind of tie occurred
 
     def test_never_fabricates_geometry(self):
         rng = random.Random(3)
@@ -184,6 +221,56 @@ class TestSizeAwareEnsemble:
             assert invoked is False
             # Every small box survives unless NMS removed an overlap.
             assert {o.box for o in out} <= {x.box for x in a}
+
+    @pytest.mark.parametrize(
+        "box, image, threshold, large",
+        [
+            ((0, 0, 30, 20), (384, 288), 0.0694, True),  # ratio 20/288 = 0.06944...: the short edges, not 30 or 384
+            ((0, 0, 30, 20), (384, 288), 0.0695, False),
+            ((0, 0, 384, 288), (384, 288), 1.0, True),  # the full extent, ratio 1
+            ((0, 0, 29, 29), (288, 288), 0.1, True),  # 29/288 lies above 0.1
+            ((0, 0, 28, 28), (288, 288), 0.1, False),  # 28/288 lies below it
+            ((0, 0, 12, 12), (120, 160), 0.1, True),  # exactly 1/10 stays large, though the double 0.1 is above it
+            ((0, 0, 5, 5), (7, 7), 0.7142857142857143, False),  # 5/7 lies below the decimal 5 / 7 prints as
+        ],
+    )
+    def test_short_edge_ratio_decides_whether_b_runs(self, box, image, threshold, large):
+        cfg = EnsembleConfig(mode=MODE_SIZE_AWARE, short_edge_ratio_threshold=threshold)
+        calls = []
+        out, invoked = size_aware_ensemble([sb(*box, 0.9)], lambda: calls.append(1) or [], *image, cfg)
+        assert invoked is large and calls == [1] * large
+        assert [o.box for o in out] == ([] if large else [BoundingBox(*box)])
+
+    @pytest.mark.parametrize(
+        "box, image",
+        [((0, 0, 1, 1), (0, 288)), ((0, 0, 1, 1), (288, 0)), ((380, 0, 10, 10), (384, 288)), ((0, 280, 10, 10), (384, 288))],
+        ids=["zero-width-image", "zero-height-image", "past-the-right-edge", "past-the-bottom-edge"],
+    )
+    def test_box_outside_the_image_is_rejected(self, box, image):
+        with pytest.raises(ValueError, match="exceeds image extent"):
+            size_aware_ensemble([sb(*box, 0.9)], lambda: [], *image, CFG)
+
+    def test_agrees_with_the_exact_oracle(self):
+        rng = random.Random(17)
+        ties = Counter()
+        for _ in range(300):
+            image_w, image_h = rng.randint(1, 16), rng.randint(1, 16)
+            a = []
+            for _ in range(rng.randrange(0, 4)):
+                w, h = rng.randint(1, image_w), rng.randint(1, image_h)
+                a.append(sb(rng.randint(0, image_w - w), rng.randint(0, image_h - h), w, h, rng.choice((0.4, 0.9))))
+            b = [sb(*small_box(rng, min(image_w, image_h)), 0.8, SOURCE_B) for _ in range(rng.randrange(0, 3))]
+            ratios = [Fraction(min(x.box.w, x.box.h), min(image_w, image_h)) for x in a]
+            cfg = EnsembleConfig(random_threshold(rng), MODE_SIZE_AWARE, random_threshold(rng, ratios))
+            ties += threshold_ties(ratios, cfg.short_edge_ratio_threshold)
+            small = [x for x in a if oracle_is_small(x.box, image_w, image_h, cfg.short_edge_ratio_threshold)]
+            large = [x for x in a if x not in small]
+            fused = [replace(x, source=SOURCE_ENSEMBLE) for x in small]
+            fused += oracle_and_ensemble(large, b, cfg.iou_threshold) if large else []
+            out, invoked = size_aware_ensemble(a, lambda: b, image_w, image_h, cfg)
+            assert invoked is bool(large)
+            assert out == oracle_nms(fused, cfg.iou_threshold)
+        assert len(ties) == 3, ties  # every kind of tie occurred
 
     def test_b_supplier_failure_propagates(self):
         a = [sb(0, 0, 100, 100, 0.9)]

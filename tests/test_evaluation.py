@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,9 @@ from scopeline.evaluation import (
     prf,
     recall_at,
 )
-from scopeline.geometry import LABEL_INSTRUMENT, LABEL_POLYP, BoundingBox, ScoredBox
+from scopeline.geometry import LABEL_INSTRUMENT, LABEL_POLYP, BoundingBox, ScoredBox, iou
 
-from conftest import oracle_match_frame, pixel_grid_iou
+from conftest import oracle_match_frame, pixel_grid_iou, random_threshold, threshold_ties
 
 POLYP = BoundingBox(10, 10, 20, 20)
 ELSEWHERE = BoundingBox(60, 60, 20, 20)  # IoU 0 with POLYP
@@ -52,6 +53,13 @@ class TestMatchFrame:
         assert match_frame([ScoredBox(pred, 0.9)], truth) == ConfusionCounts(tp=1, fp=0, fn=0)
         above = MatchConfig(iou_match_threshold=math.nextafter(0.5, 1.0))
         assert match_frame([ScoredBox(pred, 0.9)], truth, above) == ConfusionCounts(tp=0, fp=1, fn=1)
+
+    def test_iou_below_the_threshold_decimal_does_not_match(self):
+        gt, pred = BoundingBox(0, 0, 7, 1), BoundingBox(0, 0, 5, 1)
+        assert pixel_grid_iou(gt, pred) == Fraction(5, 7)
+        assert iou(gt, pred) == 0.7142857142857143
+        cfg = MatchConfig(iou_match_threshold=0.7142857142857143)
+        assert match_frame([ScoredBox(pred, 0.9)], frame_truth(LabeledBox(gt)), cfg) == ConfusionCounts(tp=0, fp=1, fn=1)
 
     @pytest.mark.parametrize(
         "pred, inside",
@@ -99,10 +107,10 @@ class TestMatchFrame:
 SCORES = (0.3, 0.5, 0.5, 0.8, 0.95)
 
 
-def random_box(rng: random.Random, near: BoundingBox | None = None) -> BoundingBox:
-    """A box on a small grid, or ``near`` moved and resized by up to 3 px a side."""
+def random_box(rng: random.Random, near: BoundingBox | None = None, size: int = 12) -> BoundingBox:
+    """A box of up to ``size`` px a side on a small grid, or ``near`` moved and resized by up to 3 px a side."""
     if near is None:
-        return BoundingBox(rng.randrange(24), rng.randrange(24), rng.randint(1, 12), rng.randint(1, 12))
+        return BoundingBox(rng.randrange(2 * size), rng.randrange(2 * size), rng.randint(1, size), rng.randint(1, size))
     return BoundingBox(
         max(0, near.x + rng.randint(-3, 3)),
         max(0, near.y + rng.randint(-3, 3)),
@@ -115,14 +123,14 @@ def random_label(rng: random.Random) -> str:
     return LABEL_INSTRUMENT if rng.random() < 0.15 else LABEL_POLYP
 
 
-def random_frame(rng: random.Random, video_id: str = "v", frame_index: int = 0):
+def random_frame(rng: random.Random, video_id: str = "v", frame_index: int = 0, size: int = 12):
     """Up to 5 predictions, most near one of up to 3 truth boxes, and the frame's truth row or None."""
-    gts = [random_box(rng) for _ in range(rng.randrange(4))]
+    gts = [random_box(rng, size=size) for _ in range(rng.randrange(4))]
     truth = None
     if gts or rng.random() < 0.3:
         truth = FrameAnnotation(video_id, frame_index, tuple(LabeledBox(g, random_label(rng)) for g in gts))
     predictions = [
-        ScoredBox(random_box(rng, rng.choice(gts) if gts and rng.random() < 0.7 else None), rng.choice(SCORES),
+        ScoredBox(random_box(rng, rng.choice(gts) if gts and rng.random() < 0.7 else None, size), rng.choice(SCORES),
                   label=random_label(rng))
         for _ in range(rng.randrange(6))
     ]
@@ -141,6 +149,19 @@ class TestMatchFrameOracle:
             predictions, truth = random_frame(rng)
             want = oracle_match_frame(predictions, truth, criterion, threshold)
             assert match_frame(predictions, truth, cfg) == want, (predictions, truth)
+
+    def test_random_thresholds_agree_with_the_oracle(self):
+        rng = random.Random(1703)
+        ties = Counter()
+        for _ in range(1500):
+            predictions, truth = random_frame(rng, size=3)  # small boxes: IoUs with small denominators
+            gts = truth.polyp_boxes() if truth is not None else []
+            ratios = [pixel_grid_iou(p.box, gt) for p in predictions if p.label == LABEL_POLYP for gt in gts]
+            threshold = random_threshold(rng, ratios)
+            ties += threshold_ties(ratios, threshold)
+            want = oracle_match_frame(predictions, truth, CRITERION_IOU, threshold)
+            assert match_frame(predictions, truth, MatchConfig(CRITERION_IOU, threshold)) == want, (predictions, truth)
+        assert len(ties) == 3, ties  # every kind of tie occurred
 
 
 def random_video(rng: random.Random, video_id: str) -> VideoEvalInput:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,13 +17,14 @@ from scopeline.geometry import (
     ScoredBox,
     box_from_dict,
     box_to_dict,
+    compare_iou,
+    compare_ratio,
     iou,
     json_field,
     nms,
-    short_edge_ratio,
 )
 
-from conftest import pixel_grid_iou
+from conftest import decimal, oracle_nms, pixel_grid_iou, random_threshold, threshold_ties
 
 
 def random_box(rng: random.Random, limit: int = 64) -> BoundingBox:
@@ -83,21 +86,52 @@ class TestIou:
             assert iou(a, b) == float(pixel_grid_iou(a, b))
 
 
-class TestShortEdgeRatio:
-    def test_definition(self):
-        assert short_edge_ratio(BoundingBox(0, 0, 30, 20), 384, 288) == 20 / 288
+def sign(value: Fraction) -> int:
+    return (value > 0) - (value < 0)
 
-    def test_full_extent(self):
-        assert short_edge_ratio(BoundingBox(0, 0, 384, 288), 384, 288) == 1.0
 
-    def test_just_above_threshold(self):
-        ratio = short_edge_ratio(BoundingBox(0, 0, 29, 29), 288, 288)
-        assert ratio == 29 / 288
-        assert ratio > 0.1
+class TestThresholdRule:
+    @pytest.mark.parametrize(
+        "part, whole, threshold, expected",
+        [
+            (1, 3, 0.3333333333333333, 1),  # 1/3 lies above the decimal, though 1 / 3 is this double
+            (5, 7, 0.7142857142857143, -1),  # 5/7 lies below the decimal, though 5 / 7 is this double
+            (12, 120, 0.1, 0),  # exactly 1/10, though the double 0.1 lies above 1/10
+            (3, 10, 0.3, 0),  # exactly 3/10, though the double 0.3 lies below 3/10
+            (1, 10, math.nextafter(0.1, 1.0), -1),
+            (0, 5, 0.0, 0),
+            (7, 7, 1.0, 0),
+        ],
+    )
+    def test_reads_the_threshold_as_the_decimal_it_prints_as(self, part, whole, threshold, expected):
+        assert compare_ratio(part, whole, threshold) == expected
 
-    def test_zero_extent_rejected(self):
-        with pytest.raises(ValueError):
-            short_edge_ratio(BoundingBox(0, 0, 1, 1), 0, 288)
+    def test_ratio_agrees_with_fraction_arithmetic(self):
+        rng = random.Random(3)
+        ties = Counter()
+        for _ in range(3000):
+            whole = rng.randint(1, 60)
+            part = rng.randint(0, whole)
+            threshold = random_threshold(rng, [Fraction(part, whole)])
+            ties += threshold_ties([Fraction(part, whole)], threshold)
+            assert compare_ratio(part, whole, threshold) == sign(Fraction(part, whole) - decimal(threshold))
+        assert len(ties) == 3, ties  # every kind of tie occurred
+
+    def test_iou_of_one_third_lies_above_its_decimal(self):
+        a, b = BoundingBox(0, 0, 2, 1), BoundingBox(1, 0, 2, 1)
+        assert pixel_grid_iou(a, b) == Fraction(1, 3)
+        assert iou(a, b) == 0.3333333333333333
+        assert compare_iou(a, b, 0.3333333333333333) == compare_iou(b, a, 0.3333333333333333) == 1
+
+    def test_iou_agrees_with_the_pixel_grid_oracle(self):
+        rng = random.Random(5)
+        ties = Counter()
+        for _ in range(2000):
+            a, b = random_box(rng, 5), random_box(rng, 5)
+            threshold = random_threshold(rng, [pixel_grid_iou(a, b)])
+            ties += threshold_ties([pixel_grid_iou(a, b)], threshold)
+            assert compare_iou(a, b, threshold) == sign(pixel_grid_iou(a, b) - decimal(threshold))
+        assert len(ties) == 3, ties  # every kind of tie occurred
 
 
 class TestNms:
@@ -122,6 +156,25 @@ class TestNms:
         a = ScoredBox(BoundingBox(10, 10, 50, 50), 0.8, SOURCE_A)
         b = ScoredBox(BoundingBox(12, 12, 50, 50), 0.8, SOURCE_B)
         assert nms([b, a], 0.1) == [a]
+
+    def test_iou_of_one_third_lies_above_its_decimal(self):
+        a = ScoredBox(BoundingBox(0, 0, 2, 1), 0.9, SOURCE_A)
+        b = ScoredBox(BoundingBox(1, 0, 2, 1), 0.8, SOURCE_B)
+        assert nms([a, b], 0.3333333333333333) == [a]
+
+    def test_agrees_with_the_exact_oracle(self):
+        rng = random.Random(43)
+        ties = Counter()
+        for _ in range(300):
+            boxes = [
+                ScoredBox(random_box(rng, 8), rng.choice((0.3, 0.5, 0.9)), rng.choice((SOURCE_A, SOURCE_B)))
+                for _ in range(rng.randrange(0, 7))
+            ]
+            ratios = [pixel_grid_iou(x.box, y.box) for x in boxes for y in boxes if x is not y]
+            threshold = random_threshold(rng, ratios)
+            ties += threshold_ties(ratios, threshold)
+            assert nms(boxes, threshold) == oracle_nms(boxes, threshold)
+        assert len(ties) == 3, ties  # every kind of tie occurred
 
     def test_threshold_bounds_checked(self):
         with pytest.raises(ValueError):

@@ -20,12 +20,12 @@ from scopeline.backends.synthetic import SyntheticDetectorConfig, synthetic_dete
 from scopeline.datagen import DatasetSpec, FramePlan, plan_video, render_frame, write_dataset
 from scopeline.ensemble import EnsembleConfig
 from scopeline.errors import BackendError
-from scopeline.geometry import BoundingBox, short_edge_ratio
+from scopeline.geometry import BoundingBox
 from scopeline.media import DirectoryFrameStream
 from scopeline.backends.external import SocketTransport
 from scopeline.pipeline import GateConfig, Pipeline, PipelineConfig
 
-from conftest import MemoryFrameStream, checkerboard_frame
+from conftest import MemoryFrameStream, checkerboard_frame, oracle_is_small
 
 # Polyp edges of 10-14 px straddle the size-aware threshold of 0.1 x 120 = 12 px,
 # so detector A's jitter decides frame by frame whether B runs.
@@ -130,7 +130,7 @@ def test_size_aware_calls_b_exactly_on_frames_with_a_large_a_box(video_dir):
                 config.detector_a, plan.frame_index, truth.get(plan.frame_index), SPEC.width, SPEC.height
             )
             expected.append(
-                int(any(short_edge_ratio(sb.box, SPEC.width, SPEC.height) >= threshold for sb in boxes_a))
+                int(any(not oracle_is_small(sb.box, SPEC.width, SPEC.height, threshold) for sb in boxes_a))
             )
     assert called == expected
     clear = sum(not plan.blurry for plan in plan_video(SPEC, 0))
