@@ -35,7 +35,7 @@ def sb(x, y, w, h, score, source=SOURCE_A) -> ScoredBox:
     return ScoredBox(BoundingBox(x, y, w, h), score, source)
 
 
-def small_box(rng: random.Random, limit: int = 8) -> tuple[int, int, int, int]:
+def small_box(rng: random.Random, limit: int) -> tuple[int, int, int, int]:
     """``(x, y, w, h)`` inside a ``limit`` square, so that IoUs are fractions with small denominators."""
     w, h = rng.randint(1, limit), rng.randint(1, limit)
     return rng.randint(0, limit - w), rng.randint(0, limit - h), w, h
@@ -266,7 +266,7 @@ class TestSizeAwareEnsemble:
             small = [x for x in a if oracle_is_small(x.box, image_w, image_h, cfg.short_edge_ratio_threshold)]
             large = [x for x in a if x not in small]
             fused = [replace(x, source=SOURCE_ENSEMBLE) for x in small]
-            fused += oracle_and_ensemble(large, b, cfg.iou_threshold) if large else []
+            fused += oracle_and_ensemble(large, b, cfg.iou_threshold)
             out, invoked = size_aware_ensemble(a, lambda: b, image_w, image_h, cfg)
             assert invoked is bool(large)
             assert out == oracle_nms(fused, cfg.iou_threshold)

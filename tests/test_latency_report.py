@@ -82,5 +82,5 @@ def test_report_sorts_each_stage_in_8_byte_doubles():
         ordered = sorted(values)  # nearest rank: 50% and 95% of 20,000 are ranks 10,000 and 19,000
         assert (stats["p50"], stats["p95"], stats["max"]) == (ordered[9_999], ordered[18_999], ordered[-1])
         assert all(type(stats[key]) is float for key in ("mean", "p50", "p95", "max"))
-    # A sorted copy of doubles is 8 bytes a sample; a sorted list of float objects is about 68.
+    # A sorted NumPy copy peaks near 16 bytes a sample; a sorted list of float objects near 68.
     assert peak < 24 * count, f"{peak / count:.1f} bytes a sample"
