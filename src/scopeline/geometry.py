@@ -119,7 +119,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-@cache
+@cache  # one entry per distinct threshold, and a config holds two or three
 def _decimal_ratio(threshold: float) -> tuple[int, int]:
     return Fraction(repr(threshold)).as_integer_ratio()
 
