@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import DataFormatError
 from .geometry import LABEL_INSTRUMENT, LABEL_POLYP, BoundingBox, box_from_dict, box_to_dict, json_field
@@ -58,29 +58,27 @@ def annotation_from_dict(row: Mapping) -> FrameAnnotation:
         raise DataFormatError(f"bad annotation row: {exc}") from exc
 
 
-def load_jsonl(path: str | Path, parse_row: Callable[[object], T]) -> list[T]:
-    """``parse_row`` applied to each non-blank line of a JSON Lines file.
+def iter_jsonl(path: str | Path, parse_row: Callable[[object], T]) -> Iterator[T]:
+    """``parse_row`` applied to each non-blank line of a JSON Lines file, yielded as it is read.
 
     A line that is not UTF-8 or not JSON, and a row that ``parse_row``
     rejects with DataFormatError, raise DataFormatError naming ``path:lineno``.
     """
-    rows = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if line:
-                    rows.append(parse_row(json.loads(line)))
+                    yield parse_row(json.loads(line))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             except DataFormatError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return rows
 
 
 def load_annotations(path: str | Path) -> list[FrameAnnotation]:
     """Read an annotations JSONL file; raises DataFormatError naming the bad line."""
-    return load_jsonl(path, annotation_from_dict)
+    return list(iter_jsonl(path, annotation_from_dict))
 
 
 def save_annotations(path: str | Path, annotations: Iterable[FrameAnnotation]) -> None:
@@ -90,7 +88,7 @@ def save_annotations(path: str | Path, annotations: Iterable[FrameAnnotation]) -
             fh.write("\n")
 
 
-def annotations_by_frame(annotations: Sequence[FrameAnnotation], video_id: str) -> dict[int, FrameAnnotation]:
+def annotations_by_frame(annotations: Iterable[FrameAnnotation], video_id: str) -> dict[int, FrameAnnotation]:
     """Index the annotations of one video by frame; a frame annotated twice is a DataFormatError."""
     indexed: dict[int, FrameAnnotation] = {}
     for annotation in annotations:

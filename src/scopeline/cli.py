@@ -2,7 +2,11 @@
 
 ``run`` takes every detection parameter from its config file and records it
 in a :class:`RunManifest`, the ``manifest.json`` that ``run --config`` replays
-and ``eval`` reads.
+and ``eval`` reads. It records absolute input and annotations paths, so a
+replay works from any working directory. ``run`` refuses to write into its
+input frame directory, whose own ``manifest.json`` it would replace.
+``run`` and ``eval`` parse JSON Lines rows as they read them, and report the
+first fault they reach.
 
 Exit codes: 0 success, 1 any other scopeline error (such as a backend that
 cannot start), 2 configuration error, 3 input-data error. Output files are
@@ -26,7 +30,7 @@ from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
 from . import __version__
-from .annotations import FrameAnnotation, annotations_by_frame, load_annotations
+from .annotations import FrameAnnotation, annotation_from_dict, annotations_by_frame, iter_jsonl
 from .codec import from_json, read_json, to_json
 from .datagen import DatasetSpec, write_dataset
 from .errors import ConfigError, DataFormatError, MediaFormatError, ScopelineError
@@ -39,7 +43,7 @@ from .evaluation import (
     evaluate_videos,
 )
 from .media import DirectoryFrameStream, StreamInfo
-from .pipeline import Pipeline, PipelineConfig, load_results, result_to_dict
+from .pipeline import Pipeline, PipelineConfig, result_from_dict, result_to_dict
 
 log = logging.getLogger("scopeline")
 
@@ -131,34 +135,37 @@ def cmd_run(args: argparse.Namespace) -> int:
     input_dir = Path(input_path)
     if not input_dir.is_dir():
         raise MediaFormatError(f"input frame directory not found: {input_dir}")
+    out = Path(args.output)
+    if out.resolve() == input_dir.resolve():
+        # The run manifest would replace the frame directory's stream manifest.json.
+        raise ConfigError(f"output directory is the input frame directory: {out}")
     stream = DirectoryFrameStream(input_dir, fps_override=fps)
 
     annotations_path = _discover_annotations(input_dir, annotations)
     truth = {}
     if annotations_path is not None:
-        truth = annotations_by_frame(load_annotations(annotations_path), stream.video_id)
+        truth = annotations_by_frame(iter_jsonl(annotations_path, annotation_from_dict), stream.video_id)
         log.info("loaded %d annotated frames from %s", len(truth), annotations_path)
 
-    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
     with _atomic_output(out / RESULTS_NAME) as fh, Pipeline(config, truth) as pipeline:
         def sink(result) -> None:
             fh.write(json.dumps(result_to_dict(result), separators=(",", ":")) + "\n")
 
-        summary = pipeline.process_stream(stream, sink)
+        report = pipeline.process_stream(stream, sink)
 
-    recorded_input = RecordedStream(**asdict(stream.info), path=str(input_dir))
-    annotations = str(annotations_path) if annotations_path else None
+    recorded_input = RecordedStream(**asdict(stream.info), path=os.path.abspath(input_dir))
+    annotations = os.path.abspath(annotations_path) if annotations_path else None
     manifest = RunManifest("scopeline", __version__, config, recorded_input, annotations)
     _write_json(out / MANIFEST_NAME, to_json(manifest))
-    _write_json(out / LATENCY_REPORT_NAME, summary.latency)
+    _write_json(out / LATENCY_REPORT_NAME, report)
 
-    fps = summary.latency["throughput_fps"]
+    fps = report["throughput_fps"]
     fps_text = f", accounted throughput {fps:.2f} fps" if fps else ""
     print(
-        f"processed {summary.frames} frames ({summary.blurry_frames} blurry, "
-        f"{summary.failed_frames} failed){fps_text}"
+        f"processed {report['frames']} frames ({report['blurry_frames']} blurry, "
+        f"{report['failed_frames']} failed){fps_text}"
     )
     return 0
 
@@ -179,7 +186,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"--merge-window must be non-negative, got {args.merge_window}")
     match_cfg = MatchConfig(criterion=args.match, iou_match_threshold=args.match_threshold)
     rows_by_video: dict[str, list[FrameAnnotation]] = {}
-    for annotation in load_annotations(Path(args.annotations)):
+    for annotation in iter_jsonl(Path(args.annotations), annotation_from_dict):
         rows_by_video.setdefault(annotation.video_id, []).append(annotation)
 
     inputs = []
@@ -188,7 +195,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         results_path, manifest_path = _results_source(entry)
         if not results_path.is_file():
             raise DataFormatError(f"results file not found: {results_path}")
-        results = load_results(results_path)
         if manifest_path is not None:
             try:
                 info = from_json(RunManifest, read_json(manifest_path, DataFormatError), "manifest").input
@@ -203,7 +209,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataFormatError(f"video {video_id} has two results files: {scored[video_id]} and {results_path}")
         scored[video_id] = results_path
         detections_by_frame = {}
-        for r in results:
+        for r in iter_jsonl(results_path, result_from_dict):
             if r.frame_index in detections_by_frame:
                 raise DataFormatError(f"{results_path}: duplicate results row for frame {r.frame_index}")
             detections_by_frame[r.frame_index] = r.detections

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .annotations import FrameAnnotation, load_jsonl
+from .annotations import FrameAnnotation, iter_jsonl
 from .backends.base import BlurGate, DetectorBackend, HeuristicBlurGate
 from .backends.external import ExternalBlurGate, ExternalClient, ExternalDetectorBackend, SocketTransport
 from .backends.synthetic import SyntheticDetector, SyntheticDetectorConfig
@@ -156,14 +156,6 @@ def latency_report(samples: Mapping[str, Sequence[float]], frames: int) -> dict:
         "throughput_fps": 1000.0 * len(totals) / sum(totals) if totals else None,
         "stages": stages,
     }
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    frames: int
-    blurry_frames: int
-    failed_frames: int
-    latency: dict  # the latency_report.json document
 
 
 def _connect(spec: ExternalBackendSpec) -> ExternalClient:
@@ -317,11 +309,12 @@ class Pipeline:
             boxes_a, boxes_b = timer.run_overlapped(self._pool, call_a, call_b)
         return timer.run(STAGE_ENSEMBLE, and_ensemble, boxes_a, boxes_b, ensemble)
 
-    def process_stream(self, stream, sink: Callable[[PipelineResult], None]) -> RunSummary:
+    def process_stream(self, stream, sink: Callable[[PipelineResult], None]) -> dict:
         """Process every frame of a stream, delivering results in frame order.
 
         Frame-level failures (backend faults, undecodable frames) are
         recorded in the result's ``error`` field and do not abort the run.
+        Returns the ``latency_report.json`` document, with the blurry and failed frame counts.
         """
         # 8 bytes a sample, where a list of floats takes 32.
         samples: defaultdict[str, array] = defaultdict(lambda: array("d"))
@@ -339,8 +332,8 @@ class Pipeline:
             for stage, value in result.stage_latencies.items():
                 samples[stage].append(value)
             sink(result)
-        frames = stream.frame_count
-        return RunSummary(frames, blurry_frames, failed_frames, latency_report(samples, frames))
+        counts = {"frames": stream.frame_count, "blurry_frames": blurry_frames, "failed_frames": failed_frames}
+        return counts | latency_report(samples, stream.frame_count)
 
 
 def result_to_dict(result: PipelineResult) -> dict:
@@ -384,4 +377,4 @@ def result_from_dict(row: Mapping) -> PipelineResult:
 
 def load_results(path: str | Path) -> list[PipelineResult]:
     """Read a results.jsonl file; raises DataFormatError naming the bad line."""
-    return load_jsonl(path, result_from_dict)
+    return list(iter_jsonl(path, result_from_dict))

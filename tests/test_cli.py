@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,18 @@ def test_eval_rejects_a_duplicate_results_row(tmp_path, dataset, capsys):
     assert not (tmp_path / "metrics").exists()
 
 
+def test_eval_reports_a_duplicate_results_row_before_a_later_bad_line(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset) == 0
+    results = tmp_path / "out" / "results.jsonl"
+    row = json.loads(results.read_text(encoding="utf-8").splitlines()[5])
+    append_row(results, {**row, "detections": []})
+    with open(results, "ab") as fh:
+        fh.write(b"\xff\n")
+    assert run_eval(tmp_path, dataset) == 3
+    assert f"{results}: duplicate results row for frame 5" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
 def test_eval_rejects_a_video_named_by_two_results_entries(tmp_path, dataset, capsys):
     assert run(tmp_path, dataset) == 0
     (tmp_path / "again").mkdir()
@@ -354,12 +367,17 @@ def read_report(out: Path) -> dict:
     return json.loads((out / "latency_report.json").read_text(encoding="utf-8"))
 
 
-def test_latency_report_counts_the_frames_that_did_not_fail(tmp_path, dataset):
+def test_latency_report_counts_the_frames_that_did_not_fail(tmp_path, dataset, capsys):
     (dataset / "videos" / "video-000" / frame_filename(5)).write_bytes(b"P6\n32 24\n255\n")
     assert run(tmp_path, dataset) == 0
     report = read_report(tmp_path / "out")
+    rows = read_rows(tmp_path / "out")
     assert report["frames"] == SPEC.frames_per_video
-    assert report["stages"]["total_wall"]["count"] == sum(row["error"] is None for row in read_rows(tmp_path / "out")) == 7
+    assert report["stages"]["total_wall"]["count"] == sum(row["error"] is None for row in rows) == 7
+    assert report["failed_frames"] == sum(row["error"] is not None for row in rows) == 1
+    blurry = sum(row["blurry"] for row in rows)
+    assert report["blurry_frames"] == blurry > 0
+    assert f"processed {SPEC.frames_per_video} frames ({blurry} blurry, 1 failed)" in capsys.readouterr().out
 
 
 def test_latency_report_carries_the_charged_costs(tmp_path, dataset):
@@ -442,6 +460,64 @@ def test_eval_of_a_bad_run_manifest_exits_3(tmp_path, dataset, edit):
                      "--annotations", str(dataset / "annotations.jsonl"), "--output", str(metrics)])
     assert code == 3
     assert not metrics.exists()
+
+
+def test_eval_reports_a_bad_run_manifest_before_a_bad_results_file(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset) == 0
+    write_manifest(tmp_path / "out", set_at("input.fps", "fast"))
+    with open(tmp_path / "out" / "results.jsonl", "ab") as fh:
+        fh.write(b"\xff\n")
+    assert run_eval(tmp_path, dataset) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'out' / 'manifest.json'}: ")
+    assert not (tmp_path / "metrics").exists()
+
+
+def test_run_keeps_only_its_own_videos_annotation_rows(tmp_path, dataset):
+    # 20,000 rows of 40 other videos beside the fixture's own.
+    box = [{"x": 1, "y": 2, "w": 3, "h": 4, "label": "polyp"}]
+    with open(dataset / "annotations.jsonl", "a", encoding="utf-8") as fh:
+        for video in range(40):
+            for frame in range(500):
+                fh.write(json.dumps({"video_id": f"other-{video:03d}", "frame_index": frame, "boxes": box}) + "\n")
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, dataset) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Holding every parsed row takes about 9.6 MB; parsing each row as it is read, about 0.3 MB in all.
+    assert peak < 1_000_000
+
+
+def test_replay_from_another_working_directory(tmp_path, dataset, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "config.json", CONFIG)
+    assert cli.main(["run", "--config", "config.json", "--input", "dataset/videos/video-000", "--output", "out"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert Path(manifest["input"]["path"]).is_absolute() and Path(manifest["annotations"]).is_absolute()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert cli.main(["run", "--config", "../out/manifest.json", "--output", "replay"]) == 0
+    assert (elsewhere / "replay" / "results.jsonl").read_bytes() == (tmp_path / "out" / "results.jsonl").read_bytes()
+    # A manifest with relative paths, as earlier versions wrote them, replays from the directory they are relative to.
+    monkeypatch.chdir(tmp_path)
+    write_manifest(tmp_path / "out", lambda m: {**m, "input": {**m["input"], "path": "dataset/videos/video-000"},
+                                                "annotations": "dataset/annotations.jsonl"})
+    assert cli.main(["run", "--config", "out/manifest.json", "--output", "relative"]) == 0
+    assert (tmp_path / "relative" / "results.jsonl").read_bytes() == (tmp_path / "out" / "results.jsonl").read_bytes()
+
+
+def test_run_refuses_to_write_into_its_input_frame_directory(tmp_path, dataset, capsys):
+    video = dataset / "videos" / "video-000"
+    before = tree_digest(video)
+    config_path = write_config(tmp_path / "config.json", CONFIG)
+    code = cli.main(["run", "--config", str(config_path), "--input", str(video),
+                     "--output", str(video / ".." / "video-000")])
+    assert code == 2
+    assert "output directory is the input frame directory" in capsys.readouterr().err
+    assert tree_digest(video) == before
+    assert run(tmp_path, dataset) == 0
 
 
 # A run manifest exactly as this version wrote it before its codec, for the

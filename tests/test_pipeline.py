@@ -223,8 +223,8 @@ def test_parallel_failure_waits_for_the_other_detector():
     with Pipeline(config) as pipeline:
         pipeline.detector_a = RaisingDetector()
         pipeline.detector_b = slow
-        summary = pipeline.process_stream(MemoryFrameStream(frames), lambda result: None)
-    assert summary.failed_frames == 20
+        report = pipeline.process_stream(MemoryFrameStream(frames), lambda result: None)
+    assert report["failed_frames"] == 20
     assert slow.calls == 20
     assert slow.max_in_flight == 1
 
@@ -236,11 +236,11 @@ def test_run_memory_is_8_bytes_a_stage_sample():
     with Pipeline(config) as pipeline:
         tracemalloc.start()
         try:
-            summary = pipeline.process_stream(stream, lambda result: None)
+            report = pipeline.process_stream(stream, lambda result: None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    stages = summary.latency["stages"]
+    stages = report["stages"]
     assert sorted(stages) == ["detector_a", "detector_b", "ensemble", "gate", "total_wall"]
     assert all(stats["count"] == frames for stats in stages.values())
     # Five stages a frame: about 115 bytes a frame as float arrays, 185 as lists of float objects.
