@@ -112,6 +112,7 @@ def _discover_annotations(input_dir: Path, explicit: str | None) -> Path | None:
         if not path.is_file():
             raise DataFormatError(f"annotations file not found: {path}")
         return path
+    input_dir = Path(os.path.abspath(input_dir))  # a relative path's parents stop at "."
     for candidate in (
         input_dir / "annotations.jsonl",
         input_dir.parent / "annotations.jsonl",

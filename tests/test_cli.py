@@ -508,6 +508,14 @@ def test_replay_from_another_working_directory(tmp_path, dataset, monkeypatch):
     assert (tmp_path / "relative" / "results.jsonl").read_bytes() == (tmp_path / "out" / "results.jsonl").read_bytes()
 
 
+def test_run_finds_the_dataset_annotations_above_a_relative_input(tmp_path, dataset, monkeypatch):
+    assert run(tmp_path, dataset) == 0
+    monkeypatch.chdir(dataset / "videos")
+    config_path = write_config(tmp_path / "config.json", CONFIG)
+    assert cli.main(["run", "--config", str(config_path), "--input", "video-000", "--output", str(tmp_path / "here")]) == 0
+    assert (tmp_path / "here" / "results.jsonl").read_bytes() == (tmp_path / "out" / "results.jsonl").read_bytes()
+
+
 def test_run_refuses_to_write_into_its_input_frame_directory(tmp_path, dataset, capsys):
     video = dataset / "videos" / "video-000"
     before = tree_digest(video)
