@@ -5,8 +5,10 @@ in a :class:`RunManifest`, the ``manifest.json`` that ``run --config`` replays
 and ``eval`` reads. It records absolute input and annotations paths, so a
 replay works from any working directory. ``run`` refuses to write into its
 input frame directory, whose own ``manifest.json`` it would replace.
-``run`` and ``eval`` parse JSON Lines rows as they read them, and report the
-first fault they reach.
+``eval`` takes each run's video id, fps and frame count from the
+``manifest.json`` beside its ``results.jsonl``, and scores one run before it
+reads the next. ``run`` and ``eval`` parse JSON Lines rows as they read
+them, and report the first fault they reach.
 
 Exit codes: 0 success, 1 any other scopeline error (such as a backend that
 cannot start), 2 configuration error, 3 input-data error. Output files are
@@ -171,18 +173,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _results_source(entry: str) -> tuple[Path, Path | None]:
-    path = Path(entry)
-    if path.is_dir():
-        results = path / RESULTS_NAME
-        manifest = path / MANIFEST_NAME
-        return results, manifest if manifest.is_file() else None
-    manifest = path.parent / MANIFEST_NAME
-    return path, manifest if manifest.is_file() else None
+def _eval_inputs(entries: Sequence[str], rows_by_video: dict[str, list[FrameAnnotation]]) -> Iterator[VideoEvalInput]:
+    """Each results entry's video, as the run manifest beside it names it, with its rows popped from ``rows_by_video``."""
+    scored: dict[str, Path] = {}  # the results file of each video read so far
+    for entry in entries:
+        results_path = Path(entry)
+        if results_path.is_dir():
+            results_path = results_path / RESULTS_NAME
+        if not results_path.is_file():
+            raise DataFormatError(f"results file not found: {results_path}")
+        manifest_path = results_path.parent / MANIFEST_NAME
+        if not manifest_path.is_file():
+            raise DataFormatError(f"run manifest not found: {manifest_path}")
+        try:
+            info = from_json(RunManifest, read_json(manifest_path, DataFormatError), "manifest").input
+        except ConfigError as exc:
+            raise DataFormatError(f"{manifest_path}: {exc}") from exc
+        if info.video_id in scored:
+            raise DataFormatError(f"video {info.video_id} has two results files: {scored[info.video_id]} and {results_path}")
+        scored[info.video_id] = results_path
+        detections_by_frame = {}
+        for r in iter_jsonl(results_path, result_from_dict):
+            if r.frame_index in detections_by_frame:
+                raise DataFormatError(f"{results_path}: duplicate results row for frame {r.frame_index}")
+            detections_by_frame[r.frame_index] = r.detections
+        annotations = tuple(annotations_by_frame(rows_by_video.pop(info.video_id, ()), info.video_id).values())
+        if info.frame_count < 1:
+            raise DataFormatError(f"{manifest_path}: the run has no frames")
+        video = VideoEvalInput(info.video_id, info.fps, info.frame_count, annotations, detections_by_frame)
+        # Every row lies in range and none repeats, so too few rows means a frame has none.
+        if len(detections_by_frame) < info.frame_count:
+            missing = next(i for i in range(info.frame_count) if i not in detections_by_frame)
+            raise DataFormatError(f"{results_path}: no results row for frame {missing} of {info.frame_count}")
+        yield video
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_fps(args.fps)
     if args.merge_window < 0:
         raise ConfigError(f"--merge-window must be non-negative, got {args.merge_window}")
     match_cfg = MatchConfig(criterion=args.match, iou_match_threshold=args.match_threshold)
@@ -190,50 +216,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for annotation in iter_jsonl(Path(args.annotations), annotation_from_dict):
         rows_by_video.setdefault(annotation.video_id, []).append(annotation)
 
-    inputs = []
-    scored: dict[str, Path] = {}  # the results file of each video scored so far
-    for index, entry in enumerate(args.results):
-        results_path, manifest_path = _results_source(entry)
-        if not results_path.is_file():
-            raise DataFormatError(f"results file not found: {results_path}")
-        if manifest_path is not None:
-            try:
-                info = from_json(RunManifest, read_json(manifest_path, DataFormatError), "manifest").input
-            except ConfigError as exc:
-                raise DataFormatError(f"{manifest_path}: {exc}") from exc
-            video_id, fps, frame_count = info.video_id, info.fps, info.frame_count
-        else:
-            video_id = results_path.parent.name or f"run-{index:03d}"
-            fps = args.fps
-            frame_count = 0
-        if video_id in scored:
-            raise DataFormatError(f"video {video_id} has two results files: {scored[video_id]} and {results_path}")
-        scored[video_id] = results_path
-        detections_by_frame = {}
-        for r in iter_jsonl(results_path, result_from_dict):
-            if r.frame_index in detections_by_frame:
-                raise DataFormatError(f"{results_path}: duplicate results row for frame {r.frame_index}")
-            detections_by_frame[r.frame_index] = r.detections
-        video_annotations = tuple(annotations_by_frame(rows_by_video.pop(video_id, ()), video_id).values())
-        if not frame_count:
-            candidates = [*detections_by_frame, *(a.frame_index for a in video_annotations)]
-            frame_count = max(candidates) + 1 if candidates else 0
-        if frame_count < 1:
-            raise DataFormatError(f"cannot determine frame count for {results_path}")
-        inputs.append(
-            VideoEvalInput(
-                video_id=video_id,
-                fps=fps,
-                frame_count=frame_count,
-                annotations=video_annotations,
-                detections_by_frame=detections_by_frame,
-            )
-        )
+    report = evaluate_videos(_eval_inputs(args.results, rows_by_video), match_cfg, args.merge_window)
     # Recall and FP rates cover every annotated video, so a partial eval needs a filtered annotations file.
     if rows_by_video:
         raise DataFormatError(f"{args.annotations}: no results for annotated videos {', '.join(sorted(rows_by_video))}")
-
-    report = evaluate_videos(inputs, match_cfg, args.merge_window)
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -298,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     ev = sub.add_parser("eval", help="evaluate results files against annotations")
-    ev.add_argument("--results", action="append", required=True, help="run directory or results.jsonl (repeatable)")
+    ev.add_argument("--results", action="append", required=True,
+                    help="run directory, or a results.jsonl with its manifest.json beside it (repeatable)")
     ev.add_argument("--annotations", required=True)
     ev.add_argument("--output", required=True)
     ev.add_argument("--match", choices=[CRITERION_IOU, CRITERION_CENTROID], default=CRITERION_IOU)
     ev.add_argument("--match-threshold", type=float, default=0.5)
-    ev.add_argument("--fps", type=float, default=60.0, help="fps fallback when no run manifest is present")
     ev.add_argument("--merge-window", type=int, default=DEFAULT_FP_MERGE_WINDOW_FRAMES)
     ev.set_defaults(func=cmd_eval)
 

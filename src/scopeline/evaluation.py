@@ -18,7 +18,7 @@ Undefined metrics (zero denominators) are reported as None, never as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .annotations import FrameAnnotation
 from .codec import to_json
@@ -262,7 +262,7 @@ class EvalReport:
 
 
 def evaluate_videos(
-    inputs: Sequence[VideoEvalInput],
+    inputs: Iterable[VideoEvalInput],
     cfg: MatchConfig = MatchConfig(),
     merge_window_frames: int = DEFAULT_FP_MERGE_WINDOW_FRAMES,
 ) -> EvalReport:
@@ -272,12 +272,14 @@ def evaluate_videos(
     without any contribute one FP-per-minute rate each (incidents merged
     over the window), mirroring the split between recall clips and
     false-positive clips. A clip's delay runs from its first frame with a
-    polyp box to its first frame with a TP.
+    polyp box to its first frame with a TP. ``inputs`` is read once, one
+    video at a time, so it may be a generator; the records and rates are
+    ordered by video id.
     """
     total = ConfusionCounts()
     clip_records = []
     fp_rates = []
-    for video in sorted(inputs, key=lambda v: v.video_id):
+    for video in inputs:
         by_frame = {a.frame_index: a for a in video.annotations}
         fp_frames = []
         first_appearance = detection_frame = None
@@ -297,4 +299,6 @@ def evaluate_videos(
         else:
             incidents = fp_incidents(fp_frames, merge_window_frames)
             fp_rates.append((video.video_id, fp_per_minute(incidents, video.frame_count, video.fps)))
+    clip_records.sort(key=lambda record: record.clip_id)
+    fp_rates.sort(key=lambda rate: rate[0])
     return EvalReport(total, prf(total), tuple(clip_records), tuple(fp_rates), cfg)

@@ -280,6 +280,42 @@ def test_eval_rejects_a_frame_outside_the_video(tmp_path, dataset, capsys, kind,
     assert not (tmp_path / "metrics").exists()
 
 
+
+def test_eval_rejects_a_results_file_with_a_missing_row(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset) == 0
+    results = tmp_path / "out" / "results.jsonl"
+    rows = results.read_text(encoding="utf-8").splitlines()
+    results.write_text("".join(row + "\n" for row in rows[:5]), encoding="utf-8")
+    assert run_eval(tmp_path, dataset) == 3
+    assert f"{results}: no results row for frame 5 of {SPEC.frames_per_video}" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+def test_eval_of_a_run_without_its_manifest_exits_3(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    manifest.unlink()
+    assert run_eval(tmp_path, dataset) == 3
+    assert f"run manifest not found: {manifest}" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+def test_eval_of_a_run_of_no_frames_exits_3(tmp_path, capsys):
+    video = tmp_path / "empty"
+    video.mkdir()
+    manifest = {"video_id": "empty", "fps": 60.0, "width": 32, "height": 24, "frame_count": 0}
+    (video / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+    (tmp_path / "annotations.jsonl").write_text("", encoding="utf-8")
+    config_path = write_config(tmp_path / "config.json", CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path), "--input", str(video), "--output", str(out),
+                     "--annotations", str(tmp_path / "annotations.jsonl")]) == 0
+    assert (out / "results.jsonl").read_bytes() == b""
+    assert eval_runs_to(tmp_path / "metrics", tmp_path / "annotations.jsonl", [out]) == 3
+    assert f"{out / 'manifest.json'}: the run has no frames" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
 # A staggered polyp video, and a polyp-free one: video-001's rows leave the
 # annotations before it runs, so its detectors see no truth.
 EVAL_SPEC = DatasetSpec(videos=2, frames_per_video=90, polyps_per_video=2, blur_fraction=0.2, seed=21,
@@ -489,6 +525,24 @@ def test_run_keeps_only_its_own_videos_annotation_rows(tmp_path, dataset):
     assert peak < 1_000_000
 
 
+def test_eval_holds_one_run_at_a_time(tmp_path):
+    # Both detectors draw the same FP boxes, so the AND rule confirms every one into the results.
+    noise = {"kind": "synthetic", "seed": 5, "fp_rate": 2.0}
+    spec = DatasetSpec(videos=12, frames_per_video=200, polyps_per_video=0, width=32, height=24,
+                       polyp_edge_range=(4, 12))
+    write_dataset(spec, tmp_path / "dataset")
+    runs = run_videos(tmp_path, {"detector_a": noise, "detector_b": noise}, spec.videos)
+    assert sum(len(row["detections"]) for row in read_rows(runs[0])) > spec.frames_per_video
+    tracemalloc.start()
+    try:
+        assert eval_runs_to(tmp_path / "metrics", tmp_path / "dataset" / "annotations.jsonl", runs) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Every run's detections held until scoring take about 1.8 MB; one run at a time, about 0.55 MB in all.
+    assert peak < 1_000_000
+
+
 def test_replay_from_another_working_directory(tmp_path, dataset, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path / "config.json", CONFIG)
@@ -614,16 +668,6 @@ def test_a_manifest_as_earlier_versions_wrote_it_replays_and_evaluates(tmp_path,
     assert (tmp_path / "earlier-metrics" / "metrics.json").read_bytes() == (tmp_path / "metrics" / "metrics.json").read_bytes()
 
 
-def test_eval_rejects_a_non_positive_fps_fallback(tmp_path, dataset):
-    assert run(tmp_path, dataset) == 0
-    (tmp_path / "out" / "manifest.json").unlink()
-    metrics = tmp_path / "metrics"
-    code = cli.main(["eval", "--results", str(tmp_path / "out"), "--fps", "0",
-                     "--annotations", str(dataset / "annotations.jsonl"), "--output", str(metrics)])
-    assert code == 2
-    assert not metrics.exists()
-
-
 @pytest.mark.parametrize("fps", ["0", "-1", "nan", "inf"])
 def test_run_rejects_a_non_positive_or_non_finite_fps(tmp_path, dataset, capsys, fps):
     assert run(tmp_path, dataset, "--fps", fps) == 2
@@ -666,6 +710,13 @@ def test_run_flags_name_only_files_and_the_fps(capsys):
         cli.build_parser().parse_args(["run", "--help"])
     flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
     assert flags == ["--config", "--input", "--output", "--annotations", "--fps"]
+
+
+def test_eval_flags_take_no_fps(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["eval", "--help"])
+    flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags == ["--results", "--annotations", "--output", "--match", "--match-threshold", "--merge-window"]
 
 
 @pytest.mark.parametrize(

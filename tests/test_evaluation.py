@@ -217,7 +217,7 @@ def test_evaluate_videos_agrees_with_a_two_pass_reference(criterion):
         videos = [random_video(rng, f"video-{i}") for i in range(rng.randint(1, 5))]
         rng.shuffle(videos)
         window = rng.randint(0, 4)
-        report = evaluate_videos(videos, cfg, window)
+        report = evaluate_videos(iter(videos), cfg, window)
         total, clips, rates = two_pass_reference(videos, cfg, window)
         assert (report.counts, report.clip_records) == (total, clips)
         assert [video_id for video_id, _ in report.fp_rates] == [video_id for video_id, _ in rates]
