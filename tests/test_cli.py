@@ -280,7 +280,6 @@ def test_eval_rejects_a_frame_outside_the_video(tmp_path, dataset, capsys, kind,
     assert not (tmp_path / "metrics").exists()
 
 
-
 def test_eval_rejects_a_results_file_with_a_missing_row(tmp_path, dataset, capsys):
     assert run(tmp_path, dataset) == 0
     results = tmp_path / "out" / "results.jsonl"
