@@ -2,9 +2,13 @@
 
 ``run`` takes every detection parameter from its config file and records it
 in a :class:`RunManifest`, the ``manifest.json`` that ``run --config`` replays
-and ``eval`` reads. It records absolute input and annotations paths, so a
-replay works from any working directory. ``run`` refuses to write into its
-input frame directory, whose own ``manifest.json`` it would replace.
+and ``eval`` reads. Each other input has one source: the frames and their
+fps come from the ``--input`` frame directory and its ``manifest.json``, and
+the truth from the ``--annotations`` file, which a synthetic detector needs;
+a replay takes what those flags leave out from the manifest it replays.
+``run`` records absolute input and annotations paths, so a replay works from
+any working directory, and refuses to write into its input frame directory,
+whose own ``manifest.json`` it would replace.
 ``eval`` takes each run's video id, fps and frame count from the
 ``manifest.json`` beside its ``results.jsonl``, and scores one run before it
 reads the next. ``run`` and ``eval`` parse JSON Lines rows as they read
@@ -23,7 +27,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -33,6 +36,7 @@ from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .annotations import FrameAnnotation, annotation_from_dict, annotations_by_frame, iter_jsonl
+from .backends.synthetic import SyntheticDetectorConfig
 from .codec import from_json, read_json, to_json
 from .datagen import DatasetSpec, write_dataset
 from .errors import ConfigError, DataFormatError, MediaFormatError, ScopelineError
@@ -44,13 +48,12 @@ from .evaluation import (
     VideoEvalInput,
     evaluate_videos,
 )
-from .media import DirectoryFrameStream, StreamInfo
+from .media import MANIFEST_NAME, DirectoryFrameStream, StreamInfo
 from .pipeline import Pipeline, PipelineConfig, result_from_dict, result_to_dict
 
 log = logging.getLogger("scopeline")
 
 RESULTS_NAME = "results.jsonl"
-MANIFEST_NAME = "manifest.json"
 LATENCY_REPORT_NAME = "latency_report.json"
 
 
@@ -97,41 +100,23 @@ def _load_run_config(config_path: Path) -> tuple[PipelineConfig, RunManifest | N
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     raw = read_json(config_path)
-    if isinstance(raw, dict) and "config" in raw:
-        manifest = from_json(RunManifest, raw, "manifest")
-        return manifest.config, manifest
-    return from_json(PipelineConfig, raw, "config"), None
-
-
-def _check_fps(fps: float | None) -> None:
-    if fps is not None and not 0.0 < fps < math.inf:
-        raise ConfigError(f"--fps must be positive and finite, got {fps}")
-
-
-def _discover_annotations(input_dir: Path, explicit: str | None) -> Path | None:
-    if explicit is not None:
-        path = Path(explicit)
-        if not path.is_file():
-            raise DataFormatError(f"annotations file not found: {path}")
-        return path
-    input_dir = Path(os.path.abspath(input_dir))  # a relative path's parents stop at "."
-    for candidate in (
-        input_dir / "annotations.jsonl",
-        input_dir.parent / "annotations.jsonl",
-        input_dir.parent.parent / "annotations.jsonl",
-    ):
-        if candidate.is_file():
-            return candidate
-    return None
+    try:
+        if isinstance(raw, dict) and "config" in raw:
+            manifest = from_json(RunManifest, raw, "manifest")
+            return manifest.config, manifest
+        return from_json(PipelineConfig, raw, "config"), None
+    except (ConfigError, MediaFormatError) as exc:  # the recorded stream raises MediaFormatError
+        raise ConfigError(f"{config_path}: {exc}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _check_fps(args.fps)
     config, recorded = _load_run_config(Path(args.config))
     # A replayed manifest supplies what the flags leave out.
     input_path = args.input or (recorded.input.path if recorded else None)
-    fps = args.fps if args.fps is not None or not recorded else recorded.input.fps
     annotations = args.annotations if args.annotations is not None or not recorded else recorded.annotations
+    synthetic = any(isinstance(spec, SyntheticDetectorConfig) for spec in (config.detector_a, config.detector_b))
+    if synthetic and annotations is None and not recorded:
+        raise ConfigError("a synthetic detector draws its boxes from the truth: pass --annotations")
 
     if not input_path:
         raise ConfigError("no input directory: pass --input or replay a run manifest")
@@ -142,13 +127,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     if out.resolve() == input_dir.resolve():
         # The run manifest would replace the frame directory's stream manifest.json.
         raise ConfigError(f"output directory is the input frame directory: {out}")
-    stream = DirectoryFrameStream(input_dir, fps_override=fps)
+    stream = DirectoryFrameStream(input_dir)
 
-    annotations_path = _discover_annotations(input_dir, annotations)
     truth = {}
-    if annotations_path is not None:
-        truth = annotations_by_frame(iter_jsonl(annotations_path, annotation_from_dict), stream.video_id)
-        log.info("loaded %d annotated frames from %s", len(truth), annotations_path)
+    if annotations is not None:
+        path = Path(annotations)
+        if not path.is_file():
+            raise DataFormatError(f"annotations file not found: {path}")
+        annotations = os.path.abspath(path)
+        truth = annotations_by_frame(iter_jsonl(path, annotation_from_dict), stream.video_id)
+        log.info("loaded %d annotated frames from %s", len(truth), path)
 
     out.mkdir(parents=True, exist_ok=True)
 
@@ -159,7 +147,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = pipeline.process_stream(stream, sink)
 
     recorded_input = RecordedStream(**asdict(stream.info), path=os.path.abspath(input_dir))
-    annotations = os.path.abspath(annotations_path) if annotations_path else None
     manifest = RunManifest("scopeline", __version__, config, recorded_input, annotations)
     _write_json(out / MANIFEST_NAME, to_json(manifest))
     _write_json(out / LATENCY_REPORT_NAME, report)
@@ -187,7 +174,7 @@ def _eval_inputs(entries: Sequence[str], rows_by_video: dict[str, list[FrameAnno
             raise DataFormatError(f"run manifest not found: {manifest_path}")
         try:
             info = from_json(RunManifest, read_json(manifest_path, DataFormatError), "manifest").input
-        except ConfigError as exc:
+        except (ConfigError, MediaFormatError) as exc:  # the recorded stream raises MediaFormatError
             raise DataFormatError(f"{manifest_path}: {exc}") from exc
         if info.video_id in scored:
             raise DataFormatError(f"video {info.video_id} has two results files: {scored[info.video_id]} and {results_path}")
@@ -198,8 +185,6 @@ def _eval_inputs(entries: Sequence[str], rows_by_video: dict[str, list[FrameAnno
                 raise DataFormatError(f"{results_path}: duplicate results row for frame {r.frame_index}")
             detections_by_frame[r.frame_index] = r.detections
         annotations = tuple(annotations_by_frame(rows_by_video.pop(info.video_id, ()), info.video_id).values())
-        if info.frame_count < 1:
-            raise DataFormatError(f"{manifest_path}: the run has no frames")
         video = VideoEvalInput(info.video_id, info.fps, info.frame_count, annotations, detections_by_frame)
         # Every row lies in range and none repeats, so too few rows means a frame has none.
         if len(detections_by_frame) < info.frame_count:
@@ -279,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="pipeline config JSON (or a run manifest to replay)")
     run.add_argument("--input", default=None, help="frame directory with manifest.json")
     run.add_argument("--output", required=True, help="output directory for results and manifest")
-    run.add_argument("--annotations", default=None, help="annotations JSONL for synthetic backends")
-    run.add_argument("--fps", type=float, default=None, help="override the stream fps")
+    run.add_argument("--annotations", default=None,
+                     help="annotations JSONL, the truth a synthetic detector draws from; required for one")
     run.set_defaults(func=cmd_run)
 
     ev = sub.add_parser("eval", help="evaluate results files against annotations")

@@ -20,7 +20,7 @@ from .annotations import FrameAnnotation, LabeledBox, save_annotations
 from .codec import to_json
 from .errors import ConfigError
 from .geometry import BoundingBox, iou
-from .media import Frame, StreamInfo, encode_ppm, frame_filename
+from .media import MANIFEST_NAME, Frame, StreamInfo, encode_ppm, frame_filename
 from .rng import SplitMix64, frame_seed
 
 # Pseudo-polyp fill/border and background tile colors (RGB).
@@ -47,8 +47,10 @@ class DatasetSpec:
     stagger_appearance: bool = False
 
     def __post_init__(self) -> None:
-        if self.videos < 0 or self.frames_per_video < 0 or self.polyps_per_video < 0:
-            raise ConfigError("videos, frames, and polyps must be non-negative")
+        if self.videos < 0 or self.polyps_per_video < 0:
+            raise ConfigError("videos and polyps must be non-negative")
+        if self.frames_per_video < 1:
+            raise ConfigError(f"frames_per_video must be at least 1, got {self.frames_per_video}")
         if not 0.0 <= self.blur_fraction <= 1.0:
             raise ConfigError(f"blur_fraction must lie in [0, 1], got {self.blur_fraction}")
         if self.width < 16 or self.height < 16:
@@ -99,7 +101,7 @@ def plan_video(spec: DatasetSpec, video_index: int) -> list[FramePlan]:
     tracks = []
     boxes: list[BoundingBox] = []
     for _ in range(spec.polyps_per_video):
-        appearance = rng.next_below(max(n // 2, 1)) if spec.stagger_appearance and n else 0
+        appearance = rng.next_below(max(n // 2, 1)) if spec.stagger_appearance else 0
         box = _draw_track_box(rng, spec, boxes)
         boxes.append(box)
         tracks.append((appearance, box))
@@ -166,7 +168,7 @@ def write_dataset(spec: DatasetSpec, out_dir: str | Path) -> list[Path]:
         video_dir = videos_dir / video_id_for(video_index)
         video_dir.mkdir(parents=True, exist_ok=True)
         info = StreamInfo(video_id_for(video_index), spec.fps, spec.width, spec.height, spec.frames_per_video)
-        (video_dir / "manifest.json").write_text(json.dumps(to_json(info), indent=2) + "\n", encoding="utf-8")
+        (video_dir / MANIFEST_NAME).write_text(json.dumps(to_json(info), indent=2) + "\n", encoding="utf-8")
         for plan in plans:
             frame = render_frame(plan, spec)
             path = video_dir / frame_filename(plan.frame_index)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -246,8 +246,8 @@ class StreamInfo:
             raise MediaFormatError(f"stream fps must be positive and finite, got {self.fps}")
         if self.width < 1 or self.height < 1:
             raise MediaFormatError(f"stream width and height must be at least 1, got {self.width}x{self.height}")
-        if self.frame_count < 0:
-            raise MediaFormatError(f"stream frame_count must be non-negative, got {self.frame_count}")
+        if self.frame_count < 1:
+            raise MediaFormatError(f"stream frame_count must be at least 1, got {self.frame_count}")
 
 
 def frame_filename(frame_index: int) -> str:
@@ -257,18 +257,17 @@ def frame_filename(frame_index: int) -> str:
 class DirectoryFrameStream:
     """Reads a frame directory in strictly increasing frame order.
 
-    Single consumer per instance; distinct instances may read concurrently.
+    The directory's ``manifest.json`` is the only source of the stream's video
+    id, fps, raster size and frame count. Single consumer per instance;
+    distinct instances may read concurrently.
     """
 
-    def __init__(self, directory: str | Path, fps_override: float | None = None):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         manifest_path = self.directory / MANIFEST_NAME
         if not manifest_path.is_file():
             raise MediaFormatError(f"missing stream manifest: {manifest_path}")
-        info = from_json(StreamInfo, read_json(manifest_path, MediaFormatError), "manifest", MediaFormatError)
-        if fps_override is not None:
-            info = replace(info, fps=fps_override)
-        self.info = info
+        self.info = from_json(StreamInfo, read_json(manifest_path, MediaFormatError), "manifest", MediaFormatError)
 
     @property
     def video_id(self) -> str:

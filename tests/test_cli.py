@@ -38,10 +38,12 @@ def write_config(path: Path, config) -> Path:
     return path
 
 
-def run(tmp_path: Path, dataset: Path, *extra: str, config=CONFIG) -> int:
+def run(tmp_path: Path, dataset: Path, *extra: str, config=CONFIG, annotations: Path | None = None) -> int:
+    """Run the dataset's video-000 into ``tmp_path / "out"``, with the dataset's annotations unless others are named."""
     config_path = write_config(tmp_path / "config.json", config)
+    annotations = annotations or dataset / "annotations.jsonl"
     return cli.main(["run", "--config", str(config_path), "--input", str(dataset / "videos" / "video-000"),
-                     "--output", str(tmp_path / "out"), *extra])
+                     "--annotations", str(annotations), "--output", str(tmp_path / "out"), *extra])
 
 
 def test_good_run_exits_0_and_leaves_no_tmp(tmp_path, dataset):
@@ -100,7 +102,7 @@ def test_missing_config_exits_2(tmp_path, dataset):
 def test_missing_input_directory_exits_3(tmp_path, dataset):
     config_path = write_config(tmp_path / "config.json", CONFIG)
     code = cli.main(["run", "--config", str(config_path), "--input", str(tmp_path / "absent"),
-                     "--output", str(tmp_path / "out")])
+                     "--annotations", str(dataset / "annotations.jsonl"), "--output", str(tmp_path / "out")])
     assert code == 3
 
 
@@ -114,8 +116,10 @@ def test_stream_manifest_that_is_not_utf8_exits_3(tmp_path, dataset):
     assert run(tmp_path, dataset) == 3
 
 
-def test_missing_annotations_file_exits_3(tmp_path, dataset):
-    assert run(tmp_path, dataset, "--annotations", str(tmp_path / "absent.jsonl")) == 3
+def test_missing_annotations_file_exits_3(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset, annotations=tmp_path / "absent.jsonl") == 3
+    assert f"annotations file not found: {tmp_path / 'absent.jsonl'}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     assert run(tmp_path, dataset) == 0
     code = cli.main(["eval", "--results", str(tmp_path / "out"),
                      "--annotations", str(tmp_path / "absent.jsonl"), "--output", str(tmp_path / "metrics")])
@@ -138,9 +142,11 @@ def test_frames_under_3x3_fail_each_frame_not_the_run(tmp_path, capsys):
     (video / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
     for i in range(3):
         (video / frame_filename(i)).write_bytes(encode_ppm(2, 2, bytes(range(12))))
+    (tmp_path / "annotations.jsonl").write_text("", encoding="utf-8")
     config_path = write_config(tmp_path / "config.json", CONFIG)
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(config_path), "--input", str(video), "--output", str(out)]) == 0
+    assert cli.main(["run", "--config", str(config_path), "--input", str(video), "--output", str(out),
+                     "--annotations", str(tmp_path / "annotations.jsonl")]) == 0
     rows = [json.loads(line) for line in (out / "results.jsonl").read_text(encoding="utf-8").splitlines()]
     assert [row["frame_index"] for row in rows] == [0, 1, 2]
     assert all("at least 3x3" in row["error"] for row in rows)
@@ -206,7 +212,7 @@ def test_eval_rejects_a_duplicate_annotation_as_run_does(tmp_path, dataset, caps
     assert message in capsys.readouterr().err
     assert not (tmp_path / "metrics").exists()
     (tmp_path / "replay").mkdir()
-    assert run(tmp_path / "replay", dataset, "--annotations", str(annotations)) == 3
+    assert run(tmp_path / "replay", dataset) == 3
     assert message in capsys.readouterr().err
 
 
@@ -299,19 +305,23 @@ def test_eval_of_a_run_without_its_manifest_exits_3(tmp_path, dataset, capsys):
     assert not (tmp_path / "metrics").exists()
 
 
-def test_eval_of_a_run_of_no_frames_exits_3(tmp_path, capsys):
+def test_a_stream_of_no_frames_is_refused_by_run_and_by_eval(tmp_path, dataset, capsys):
     video = tmp_path / "empty"
     video.mkdir()
     manifest = {"video_id": "empty", "fps": 60.0, "width": 32, "height": 24, "frame_count": 0}
     (video / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
-    (tmp_path / "annotations.jsonl").write_text("", encoding="utf-8")
     config_path = write_config(tmp_path / "config.json", CONFIG)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(config_path), "--input", str(video), "--output", str(out),
-                     "--annotations", str(tmp_path / "annotations.jsonl")]) == 0
-    assert (out / "results.jsonl").read_bytes() == b""
-    assert eval_runs_to(tmp_path / "metrics", tmp_path / "annotations.jsonl", [out]) == 3
-    assert f"{out / 'manifest.json'}: the run has no frames" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(config_path), "--input", str(video), "--output", str(tmp_path / "empty-out"),
+                     "--annotations", str(dataset / "annotations.jsonl")]) == 3
+    assert "stream frame_count must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "empty-out").exists()
+    # A run manifest edited to say the same is refused by eval.
+    assert run(tmp_path, dataset) == 0
+    write_manifest(tmp_path / "out", set_at("input.frame_count", 0))
+    assert run_eval(tmp_path, dataset) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tmp_path / 'out' / 'manifest.json'}: ")
+    assert "stream frame_count must be at least 1, got 0" in err
     assert not (tmp_path / "metrics").exists()
 
 
@@ -361,7 +371,7 @@ def run_videos(root: Path, config: dict, videos: int) -> list[Path]:
         video = f"video-{index:03d}"
         runs.append(root / video)
         assert cli.main(["run", "--config", str(config_path), "--input", str(root / "dataset" / "videos" / video),
-                         "--output", str(runs[-1])]) == 0
+                         "--annotations", str(root / "dataset" / "annotations.jsonl"), "--output", str(runs[-1])]) == 0
     return runs
 
 
@@ -452,12 +462,15 @@ def set_at(path: str, value):
     return edit
 
 
-# A type or shape fault in a run manifest; replaying it is a config error.
+# A type, shape or range fault in a run manifest; replaying it is a config error.
 MANIFEST_FAULTS = {
     "non-numeric-fps": set_at("input.fps", "fast"),
     "boolean-fps": set_at("input.fps", True),
+    "zero-fps": set_at("input.fps", 0),
     "non-numeric-frame-count": set_at("input.frame_count", "many"),
+    "zero-frame-count": set_at("input.frame_count", 0),
     "fractional-width": set_at("input.width", 7.9),
+    "zero-width": set_at("input.width", 0),
     "numeric-path": set_at("input.path", 5),
     "input-of-only-a-numeric-path": set_at("input", {"path": 5}),
     "numeric-annotations": set_at("annotations", 5),
@@ -474,26 +487,26 @@ def test_replay_of_a_bad_run_manifest_exits_2(tmp_path, dataset, capsys, edit):
     write_manifest(tmp_path / "out", edit)
     replay = tmp_path / "replay"
     assert cli.main(["run", "--config", str(tmp_path / "out" / "manifest.json"), "--output", str(replay)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith(f"config error: {tmp_path / 'out' / 'manifest.json'}: ")
     assert not replay.exists()
 
 
 EVAL_MANIFEST_FAULTS = {
     **MANIFEST_FAULTS,
-    "zero-fps": set_at("input.fps", 0),
     "bad-execution": set_at("config.execution", "distributed"),
     "not-an-object": lambda manifest: [manifest],
 }
 
 
 @pytest.mark.parametrize("edit", list(EVAL_MANIFEST_FAULTS.values()), ids=list(EVAL_MANIFEST_FAULTS))
-def test_eval_of_a_bad_run_manifest_exits_3(tmp_path, dataset, edit):
+def test_eval_of_a_bad_run_manifest_exits_3(tmp_path, dataset, capsys, edit):
     assert run(tmp_path, dataset) == 0
     write_manifest(tmp_path / "out", edit)
     metrics = tmp_path / "metrics"
     code = cli.main(["eval", "--results", str(tmp_path / "out"),
                      "--annotations", str(dataset / "annotations.jsonl"), "--output", str(metrics)])
     assert code == 3
+    assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'out' / 'manifest.json'}: ")
     assert not metrics.exists()
 
 
@@ -545,7 +558,8 @@ def test_eval_holds_one_run_at_a_time(tmp_path):
 def test_replay_from_another_working_directory(tmp_path, dataset, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path / "config.json", CONFIG)
-    assert cli.main(["run", "--config", "config.json", "--input", "dataset/videos/video-000", "--output", "out"]) == 0
+    assert cli.main(["run", "--config", "config.json", "--input", "dataset/videos/video-000",
+                     "--annotations", "dataset/annotations.jsonl", "--output", "out"]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert Path(manifest["input"]["path"]).is_absolute() and Path(manifest["annotations"]).is_absolute()
     elsewhere = tmp_path / "elsewhere"
@@ -561,12 +575,42 @@ def test_replay_from_another_working_directory(tmp_path, dataset, monkeypatch):
     assert (tmp_path / "relative" / "results.jsonl").read_bytes() == (tmp_path / "out" / "results.jsonl").read_bytes()
 
 
-def test_run_finds_the_dataset_annotations_above_a_relative_input(tmp_path, dataset, monkeypatch):
-    assert run(tmp_path, dataset) == 0
-    monkeypatch.chdir(dataset / "videos")
+STUB = [sys.executable, "-m", "scopeline.backends.stub", "--box", "2,3,8,6,0.9"]
+
+
+def test_a_stub_run_inside_a_dataset_reads_no_annotations(tmp_path, dataset):
+    # Unreadable rows: a run that parsed the dataset's annotations would exit 3.
+    with open(dataset / "annotations.jsonl", "ab") as fh:
+        fh.write(b"\xff\n")
+    config_path = write_config(tmp_path / "config.json", {"detector_a": {"kind": "external", "command": STUB},
+                                                          "detector_b": {"kind": "external", "command": STUB}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path), "--input", str(dataset / "videos" / "video-000"),
+                     "--output", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["annotations"] is None
+    rows = read_rows(out)
+    assert [bool(row["detections"]) for row in rows] == [not row["blurry"] for row in rows]
+
+
+def test_a_fresh_synthetic_run_without_annotations_exits_2(tmp_path, dataset, capsys):
     config_path = write_config(tmp_path / "config.json", CONFIG)
-    assert cli.main(["run", "--config", str(config_path), "--input", "video-000", "--output", str(tmp_path / "here")]) == 0
-    assert (tmp_path / "here" / "results.jsonl").read_bytes() == (tmp_path / "out" / "results.jsonl").read_bytes()
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path), "--input", str(dataset / "videos" / "video-000"),
+                     "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: a synthetic detector draws its boxes from the truth: pass --annotations\n"
+    assert not out.exists()
+
+
+def test_a_manifest_that_recorded_no_annotations_replays_without_truth(tmp_path, dataset):
+    # Outside the dataset, so only a search of the input's parents could reach the dataset's own file.
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert run(tmp_path, dataset, annotations=empty) == 0
+    write_manifest(tmp_path / "out", lambda manifest: {**manifest, "annotations": None})
+    replay = tmp_path / "replay"
+    assert cli.main(["run", "--config", str(tmp_path / "out" / "manifest.json"), "--output", str(replay)]) == 0
+    assert (replay / "results.jsonl").read_bytes() == (tmp_path / "out" / "results.jsonl").read_bytes()
+    assert json.loads((replay / "manifest.json").read_text(encoding="utf-8"))["annotations"] is None
 
 
 def test_run_refuses_to_write_into_its_input_frame_directory(tmp_path, dataset, capsys):
@@ -574,7 +618,7 @@ def test_run_refuses_to_write_into_its_input_frame_directory(tmp_path, dataset, 
     before = tree_digest(video)
     config_path = write_config(tmp_path / "config.json", CONFIG)
     code = cli.main(["run", "--config", str(config_path), "--input", str(video),
-                     "--output", str(video / ".." / "video-000")])
+                     "--annotations", str(dataset / "annotations.jsonl"), "--output", str(video / ".." / "video-000")])
     assert code == 2
     assert "output directory is the input frame directory" in capsys.readouterr().err
     assert tree_digest(video) == before
@@ -667,11 +711,20 @@ def test_a_manifest_as_earlier_versions_wrote_it_replays_and_evaluates(tmp_path,
     assert (tmp_path / "earlier-metrics" / "metrics.json").read_bytes() == (tmp_path / "metrics" / "metrics.json").read_bytes()
 
 
-@pytest.mark.parametrize("fps", ["0", "-1", "nan", "inf"])
-def test_run_rejects_a_non_positive_or_non_finite_fps(tmp_path, dataset, capsys, fps):
-    assert run(tmp_path, dataset, "--fps", fps) == 2
-    assert "--fps must be positive and finite" in capsys.readouterr().err
+def test_run_takes_the_fps_from_the_frame_directory_only(tmp_path, dataset, capsys):
+    assert run(tmp_path, dataset, "--fps", "30") == 2
+    assert "unrecognized arguments: --fps" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    stream_manifest = dataset / "videos" / "video-000" / MANIFEST_NAME
+    stream_manifest.write_text(json.dumps({**json.loads(stream_manifest.read_text(encoding="utf-8")), "fps": 25}),
+                               encoding="utf-8")
+    assert run(tmp_path, dataset) == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))["input"]["fps"] == 25.0
+    # A replay reads the frame directory again, not the fps its manifest recorded.
+    write_manifest(tmp_path / "out", set_at("input.fps", 30.0))
+    replay = tmp_path / "replay"
+    assert cli.main(["run", "--config", str(tmp_path / "out" / "manifest.json"), "--output", str(replay)]) == 0
+    assert json.loads((replay / "manifest.json").read_text(encoding="utf-8"))["input"]["fps"] == 25.0
 
 
 def test_eval_rejects_a_negative_merge_window_before_reading_a_file(tmp_path, capsys):
@@ -688,7 +741,7 @@ def test_eval_rejects_a_negative_merge_window_for_a_video_without_polyps(tmp_pat
                               polyp_edge_range=(4, 12)), tmp_path / "dataset")
     config_path = write_config(tmp_path / "config.json", CONFIG)
     assert cli.main(["run", "--config", str(config_path), "--input", str(tmp_path / "dataset" / "videos" / "video-000"),
-                     "--output", str(tmp_path / "out")]) == 0
+                     "--annotations", str(tmp_path / "dataset" / "annotations.jsonl"), "--output", str(tmp_path / "out")]) == 0
     code = cli.main(["eval", "--results", str(tmp_path / "out"), "--merge-window", "-1",
                      "--annotations", str(tmp_path / "dataset" / "annotations.jsonl"), "--output", str(tmp_path / "metrics")])
     assert code == 2
@@ -704,11 +757,11 @@ def scopeline(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "scopeline", *args], capture_output=True, text=True, timeout=60)
 
 
-def test_run_flags_name_only_files_and_the_fps(capsys):
+def test_run_flags_name_only_files(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["run", "--help"])
     flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
-    assert flags == ["--config", "--input", "--output", "--annotations", "--fps"]
+    assert flags == ["--config", "--input", "--output", "--annotations"]
 
 
 def test_eval_flags_take_no_fps(capsys):
@@ -778,3 +831,10 @@ def test_gen_synthetic_is_byte_identical_for_a_seed(tmp_path):
     other = gen_synthetic(tmp_path / "other", seed=12)
     assert other.keys() == first.keys()
     assert other != first
+
+
+def test_gen_synthetic_rejects_a_video_of_no_frames(tmp_path, capsys):
+    out = tmp_path / "dataset"
+    assert cli.main(["gen-synthetic", "--out", str(out), "--frames", "0"]) == 2
+    assert "frames_per_video must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()

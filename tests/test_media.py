@@ -441,11 +441,13 @@ class TestDirectoryFrameStream:
         stream = DirectoryFrameStream(tmp_path)
         assert stream.read_frame(6).timestamp_ms - stream.read_frame(0).timestamp_ms == 100.0
 
-    def test_fps_override(self, tmp_path):
-        frames = [solid_frame((0, 0, 0), index=i) for i in range(2)]
-        self._write_stream(tmp_path, frames, fps=60.0)
-        stream = DirectoryFrameStream(tmp_path, fps_override=30.0)
-        assert stream.fps == 30.0
+    def test_fps_comes_from_the_manifest_only(self, tmp_path):
+        frames = [solid_frame((0, 0, 0), index=i) for i in range(4)]
+        self._write_stream(tmp_path, frames, fps=30.0)
+        stream = DirectoryFrameStream(tmp_path)
+        assert (stream.fps, stream.read_frame(3).timestamp_ms) == (30.0, 100.0)
+        with pytest.raises(TypeError):
+            DirectoryFrameStream(tmp_path, fps_override=60.0)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MediaFormatError, match="manifest"):
@@ -478,7 +480,8 @@ BAD_MANIFEST_FIELDS = [
     ("height", -2, "width and height must be at least 1"),
     ("frame_count", "600", "frame_count must be of type int"),
     ("frame_count", 600.0, "frame_count must be of type int"),
-    ("frame_count", -1, "frame_count must be non-negative"),
+    ("frame_count", 0, "frame_count must be at least 1"),
+    ("frame_count", -1, "frame_count must be at least 1"),
 ]
 
 
@@ -491,9 +494,9 @@ class TestStreamManifest:
         assert load_manifest(MANIFEST) == StreamInfo("vid", 60.0, 384, 288, 600)
         assert to_json(load_manifest(MANIFEST)) == MANIFEST
 
-    def test_integer_fps_and_empty_stream_accepted(self):
-        info = load_manifest({**MANIFEST, "fps": 25, "frame_count": 0})
-        assert (info.fps, type(info.fps), info.frame_count) == (25.0, float, 0)
+    def test_integer_fps_and_one_frame_stream_accepted(self):
+        info = load_manifest({**MANIFEST, "fps": 25, "frame_count": 1})
+        assert (info.fps, type(info.fps), info.frame_count) == (25.0, float, 1)
 
     @pytest.mark.parametrize(
         "field, value, match", BAD_MANIFEST_FIELDS, ids=[f"{field}={value!r:.12}" for field, value, _ in BAD_MANIFEST_FIELDS]

@@ -77,11 +77,14 @@ def video_dir(tmp_path_factory) -> Path:
     return directory
 
 
-def run_cli(workdir: Path, raw_config: dict, *args: str) -> Path:
+def run_cli(workdir: Path, raw_config: dict, video_dir: Path, annotations: Path | None = None) -> Path:
+    """Run ``video_dir`` into ``workdir / "out"``, with its dataset's annotations unless others are named."""
     config_path = workdir / "config.json"
     config_path.write_text(json.dumps(raw_config), encoding="utf-8")
     out = workdir / "out"
-    code = cli.main(["run", "--config", str(config_path), "--output", str(out), *args])
+    annotations = annotations or video_dir.parent.parent / "annotations.jsonl"
+    code = cli.main(["run", "--config", str(config_path), "--input", str(video_dir),
+                     "--annotations", str(annotations), "--output", str(out)])
     assert code == 0
     return out
 
@@ -99,7 +102,7 @@ def digest(out: Path) -> str:
     ],
 )
 def test_results_match_golden_digest(tmp_path, video_dir, name, raw_config):
-    out = run_cli(tmp_path, raw_config, "--input", str(video_dir))
+    out = run_cli(tmp_path, raw_config, video_dir)
     assert digest(out) == GOLDEN[name]
 
 
@@ -107,7 +110,7 @@ def test_sequential_and_parallel_rows_identical(tmp_path, video_dir):
     rows = {}
     for mode in ("sequential", "parallel"):
         (tmp_path / mode).mkdir()
-        out = run_cli(tmp_path / mode, {**AND_CONFIG, "execution": mode}, "--input", str(video_dir))
+        out = run_cli(tmp_path / mode, {**AND_CONFIG, "execution": mode}, video_dir)
         rows[mode] = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(rows["sequential"]) == SPEC.frames_per_video
     assert rows["sequential"] == rows["parallel"]
@@ -274,21 +277,18 @@ def test_manifest_replay_reproduces_results_and_fps(tmp_path):
     annotations = tmp_path / "truth.jsonl"
     (tmp_path / "dataset" / "annotations.jsonl").rename(annotations)
     (tmp_path / "first").mkdir()
-    first = run_cli(
-        tmp_path / "first", AND_CONFIG, "--input", str(video_dir),
-        "--annotations", str(annotations), "--fps", "30",
-    )
+    first = run_cli(tmp_path / "first", AND_CONFIG, video_dir, annotations)
     replay = tmp_path / "replay"
     assert cli.main(["run", "--config", str(first / "manifest.json"), "--output", str(replay)]) == 0
     assert (replay / "results.jsonl").read_bytes() == (first / "results.jsonl").read_bytes()
     manifest = json.loads((replay / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["input"]["fps"] == 30
+    assert manifest["input"]["fps"] == SPEC.fps
     assert manifest["annotations"] == str(annotations)
 
 
 def test_replay_of_a_manifest_with_a_seeds_key(tmp_path, video_dir):
     # Earlier runs also recorded each synthetic seed under "seeds"; replay ignores that copy.
-    first = run_cli(tmp_path, AND_CONFIG, "--input", str(video_dir))
+    first = run_cli(tmp_path, AND_CONFIG, video_dir)
     manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
     manifest["seeds"] = {"detector_a": 1, "detector_b": 2}
     old = tmp_path / "old-manifest.json"
@@ -299,7 +299,7 @@ def test_replay_of_a_manifest_with_a_seeds_key(tmp_path, video_dir):
 
 
 def test_replay_rejects_a_non_numeric_recorded_fps(tmp_path, video_dir):
-    first = run_cli(tmp_path, AND_CONFIG, "--input", str(video_dir))
+    first = run_cli(tmp_path, AND_CONFIG, video_dir)
     manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
     manifest["input"]["fps"] = "fast"
     edited = tmp_path / "edited.json"
