@@ -305,24 +305,17 @@ def test_eval_of_a_run_without_its_manifest_exits_3(tmp_path, dataset, capsys):
     assert not (tmp_path / "metrics").exists()
 
 
-def test_a_stream_of_no_frames_is_refused_by_run_and_by_eval(tmp_path, dataset, capsys):
+def test_run_refuses_a_stream_of_no_frames(tmp_path, dataset, capsys):
+    # eval refuses a run manifest edited to say the same: "zero-frame-count" in EVAL_MANIFEST_FAULTS.
     video = tmp_path / "empty"
     video.mkdir()
     manifest = {"video_id": "empty", "fps": 60.0, "width": 32, "height": 24, "frame_count": 0}
     (video / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
     config_path = write_config(tmp_path / "config.json", CONFIG)
-    assert cli.main(["run", "--config", str(config_path), "--input", str(video), "--output", str(tmp_path / "empty-out"),
+    assert cli.main(["run", "--config", str(config_path), "--input", str(video), "--output", str(tmp_path / "out"),
                      "--annotations", str(dataset / "annotations.jsonl")]) == 3
-    assert "stream frame_count must be at least 1, got 0" in capsys.readouterr().err
-    assert not (tmp_path / "empty-out").exists()
-    # A run manifest edited to say the same is refused by eval.
-    assert run(tmp_path, dataset) == 0
-    write_manifest(tmp_path / "out", set_at("input.frame_count", 0))
-    assert run_eval(tmp_path, dataset) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {tmp_path / 'out' / 'manifest.json'}: ")
-    assert "stream frame_count must be at least 1, got 0" in err
-    assert not (tmp_path / "metrics").exists()
+    assert "data error: stream frame_count must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # A staggered polyp video, and a polyp-free one: video-001's rows leave the
