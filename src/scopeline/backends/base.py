@@ -30,10 +30,13 @@ class HeuristicBlurGate:
 
     Blurry when the frame's exact Laplacian variance is below ``threshold``.
     A probe of the frame's 16 centre Laplacian rows returns clear, exactly,
-    when those rows alone prove it (the subset bound in ``media``); any
-    other frame takes the scorer's full pass. The gate's one scorer keeps
-    its work buffers from frame to frame, and ``threshold`` is read on
-    every call.
+    when those rows alone prove it (the subset bound in ``media``). Any
+    other frame gets its whole Laplacian once: a float32 sum of its squares
+    returns blurry when, with its error bound, it proves the variance below
+    ``threshold`` (the float32 bound in ``media``), and the exact sums of
+    the same Laplacian decide the rest. The gate's one scorer keeps its
+    work buffers from frame to frame, and ``threshold`` is read on every
+    call.
     """
 
     def __init__(self, threshold: float = DEFAULT_BLUR_THRESHOLD):
@@ -44,4 +47,4 @@ class HeuristicBlurGate:
         threshold = self.threshold
         if self._scorer.centre_proves_clear(frame, threshold):
             return False
-        return self._scorer.variance(frame) < threshold
+        return self._scorer.variance_below(frame, threshold)

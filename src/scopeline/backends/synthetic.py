@@ -97,13 +97,18 @@ def synthetic_detect(
 ) -> list[ScoredBox]:
     """Emit jittered true positives and Poisson false positives for one frame."""
     rng = SplitMix64(frame_seed(config.seed, frame_index))
+    next_float, gaussian = rng.next_float, rng.gaussian
     detections: list[ScoredBox] = []
 
+    p_tp, jitter = config.p_tp, config.jitter_px
     tp_lo, tp_hi = config.tp_score_range
     for gt_box in truth.polyp_boxes() if truth is not None else []:
-        accepted = rng.next_float() < config.p_tp
-        jitters = tuple(round(rng.gaussian() * config.jitter_px) for _ in range(4))
-        score_u = rng.next_float()
+        accepted = next_float() < p_tp
+        # Left, top, right, bottom: a tuple display evaluates left to right.
+        jitters = (
+            round(gaussian() * jitter), round(gaussian() * jitter), round(gaussian() * jitter), round(gaussian() * jitter)
+        )
+        score_u = next_float()
         if not accepted:
             continue
         box = _jittered(gt_box, jitters, image_w, image_h)
@@ -112,11 +117,11 @@ def synthetic_detect(
     fp_lo, fp_hi = config.fp_score_range
     short_edge = min(image_w, image_h)
     for _ in range(rng.poisson(config.fp_rate)):
-        w = min(max(_log_uniform_edge(rng.next_float(), short_edge), 1), image_w)
-        h = min(max(_log_uniform_edge(rng.next_float(), short_edge), 1), image_h)
-        x = min(int(rng.next_float() * (image_w - w + 1)), image_w - w)
-        y = min(int(rng.next_float() * (image_h - h + 1)), image_h - h)
-        score = fp_lo + rng.next_float() * (fp_hi - fp_lo)
+        w = min(max(_log_uniform_edge(next_float(), short_edge), 1), image_w)
+        h = min(max(_log_uniform_edge(next_float(), short_edge), 1), image_h)
+        x = min(int(next_float() * (image_w - w + 1)), image_w - w)
+        y = min(int(next_float() * (image_h - h + 1)), image_h - h)
+        score = fp_lo + next_float() * (fp_hi - fp_lo)
         detections.append(ScoredBox(BoundingBox(x, y, w, h), score, source))
 
     return detections

@@ -30,7 +30,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -55,6 +55,9 @@ log = logging.getLogger("scopeline")
 
 RESULTS_NAME = "results.jsonl"
 LATENCY_REPORT_NAME = "latency_report.json"
+
+# Built once: json.dumps with separators builds a new encoder on every call.
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @contextmanager
@@ -109,6 +112,17 @@ def _load_run_config(config_path: Path) -> tuple[PipelineConfig, RunManifest | N
         raise ConfigError(f"{config_path}: {exc}") from exc
 
 
+def _check_replayed_stream(manifest_path: Path, recorded: StreamInfo, info: StreamInfo) -> None:
+    """DataFormatError naming the first stream field where a replayed frame directory left its run's record."""
+    for field in fields(StreamInfo):
+        was, now = getattr(recorded, field.name), getattr(info, field.name)
+        if was != now:
+            raise DataFormatError(
+                f"{manifest_path}: the frame directory {recorded.path} has {field.name} {now!r}, "
+                f"the run recorded {was!r}"
+            )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config, recorded = _load_run_config(Path(args.config))
     # A replayed manifest supplies what the flags leave out.
@@ -128,6 +142,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         # The run manifest would replace the frame directory's stream manifest.json.
         raise ConfigError(f"output directory is the input frame directory: {out}")
     stream = DirectoryFrameStream(input_dir)
+    if recorded and not args.input:
+        _check_replayed_stream(Path(args.config), recorded.input, stream.info)
 
     truth = {}
     if annotations is not None:
@@ -142,7 +158,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     with _atomic_output(out / RESULTS_NAME) as fh, Pipeline(config, truth) as pipeline:
         def sink(result) -> None:
-            fh.write(json.dumps(result_to_dict(result), separators=(",", ":")) + "\n")
+            fh.write(_ROW_ENCODER.encode(result_to_dict(result)) + "\n")
 
         report = pipeline.process_stream(stream, sink)
 

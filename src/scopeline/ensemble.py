@@ -10,7 +10,7 @@ threshold rule of :mod:`scopeline.geometry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ConfigError
@@ -42,7 +42,7 @@ class EnsembleConfig:
 
 
 def _tag_ensemble(boxes: Sequence[ScoredBox]) -> list[ScoredBox]:
-    return [replace(sb, source=SOURCE_ENSEMBLE) for sb in boxes]
+    return [ScoredBox(sb.box, sb.score, SOURCE_ENSEMBLE, sb.label) for sb in boxes]
 
 
 def and_ensemble(
@@ -53,6 +53,8 @@ def and_ensemble(
     A box is confirmed when some box on the other side overlaps it with IoU
     above ``cfg.iou_threshold``; unconfirmed boxes are dropped.
     """
+    if not a or not b:
+        return []
     threshold = cfg.iou_threshold
     confirmed = [sa for sa in a if any(compare_iou(sa.box, sb.box, threshold) > 0 for sb in b)]
     confirmed += [sb for sb in b if any(compare_iou(sb.box, sa.box, threshold) > 0 for sa in a)]

@@ -3,6 +3,10 @@
 A frame directory holds ``manifest.json`` plus one ``<frame_index:06d>.ppm``
 per frame. Only binary PPM ("P6", maxval 255) is supported; the decode is
 bit-exact and round-trips through :func:`encode_ppm` for canonical headers.
+A frame file is read once: its header from the first bytes, then its raster
+straight into the frame's ``pixels``. Any other file (a header that runs past
+those bytes, another raster size, a fault) is decoded whole by
+:func:`decode_ppm`, so it gives the same frame or the same message.
 
 The blur score is the population variance of the 4-neighbour Laplacian of
 BT.601 luma over the interior pixels (Pech-Pacheco et al., ICPR 2000),
@@ -30,12 +34,25 @@ terms over pairs of values, so the ``m`` values of any subset have
 ``m S2_m - S1_m^2 <= n S2 - S1^2``: dropping values only drops pairs. Once a
 subset's spread reaches ``threshold n^2 10^6`` the frame is clear, exactly,
 whichever rows the subset holds and in whatever order they are visited.
-A blurry verdict still needs every value.
+
+A blurry verdict needs every value, but not exact sums. The spread is at most
+``n S2``, and ``S2`` is bounded by its float32 dot ``s = fl(sum L'^2)``, formed
+in any order from the ``N`` Laplacian values (wrapped zeros included): the
+error of such a sum of non-negative terms is at most ``gamma_g S2``, where
+``gamma_g = g u / (1 - g u)``, ``u = 2^-24 = 1/D`` and ``g = N + 1``, one more
+than the standard ``N`` (Higham, Accuracy and Stability of Numerical
+Algorithms, section 3.1). Hence
+``S2 <= s / (1 - gamma_g) = s (D - g) / (D - 2g)``, and a frame with
+``n s (D - g) < threshold n^2 10^6 (D - 2g)``, compared in integers, is
+blurry. The bound needs ``2g < D``, so past ``2^23`` values (about 4096x2048)
+and for a threshold that is not finite, only the exact sums decide; they
+decide every frame the bound leaves open.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +91,12 @@ class Frame:
 _PPM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\d*)")
 
 
-def decode_ppm(data: bytes) -> tuple[int, int, bytes]:
-    """Decode a binary PPM ("P6", maxval 255) into (width, height, pixels)."""
+def _ppm_header(data: bytes) -> tuple[int, int, int]:
+    """(width, height, offset) of a binary PPM header: ``offset`` is the raster's first byte.
+
+    A header cut short by the end of ``data`` is an error, never a different
+    header: a token can only end at a byte that follows it.
+    """
     if data[:2] != b"P6":
         raise MediaFormatError("not a binary PPM: expected magic 'P6' at byte 0")
     pos = 2
@@ -93,7 +114,12 @@ def decode_ppm(data: bytes) -> tuple[int, int, bytes]:
         raise MediaFormatError(f"unsupported maxval {maxval} at byte {token.start(1)}")
     if not data[pos : pos + 1].isspace():
         raise MediaFormatError(f"expected single whitespace after maxval at byte {pos}")
-    pos += 1
+    return width, height, pos + 1
+
+
+def decode_ppm(data: bytes) -> tuple[int, int, bytes]:
+    """Decode a binary PPM ("P6", maxval 255) into (width, height, pixels)."""
+    width, height, pos = _ppm_header(data)
     expected = 3 * width * height
     pixels = data[pos : pos + expected]
     if len(pixels) != expected:
@@ -108,6 +134,22 @@ def encode_ppm(width: int, height: int, pixels: bytes) -> bytes:
     if len(pixels) != 3 * width * height:
         raise ValueError(f"pixel payload is {len(pixels)} bytes for {width}x{height}")
     return b"P6\n%d %d\n255\n" % (width, height) + pixels
+
+
+# Unit roundoff of float32 is 2^-24 = 1/_FLOAT32_D.
+_FLOAT32_D = 1 << 24
+
+
+def float32_dot_margin(count: int) -> tuple[int, int] | None:
+    """``(D - g, D - 2g)``, with ``D = 2^24`` and ``g = count + 1``, or None when ``2g >= D``.
+
+    The float32 dot ``s`` of ``count`` non-negative squares, summed in any
+    order, has ``S2 <= s (D - g) / (D - 2g)``: the bound of the module docstring.
+    """
+    g = count + 1
+    if 2 * g >= _FLOAT32_D:
+        return None
+    return _FLOAT32_D - g, _FLOAT32_D - 2 * g
 
 
 class LaplacianVarianceScorer:
@@ -142,7 +184,7 @@ class LaplacianVarianceScorer:
         count = (height - 2) * width
         self._rgb = np.empty((min(height * width, self._BAND), 3), np.float32)
         self._luma = np.empty(height * width, np.float32)
-        self._laplacian = np.empty(count, np.float32)
+        self._laplacian_buffer = np.empty(count, np.float32)
         # Whole runs of the float64 sums; the padding past ``count`` stays zero.
         run = min(count, self._RUN)
         self._wide = np.zeros((-(-count // run), run), np.float64)
@@ -156,16 +198,13 @@ class LaplacianVarianceScorer:
             run = min(values, self._RUN)
             wide = self._wide.reshape(-1)[: -(-values // run) * run].reshape(-1, run)
             luma = self._luma[top * width : (top + rows + 2) * width]
-            self._probe = (top * width, luma, self._laplacian[:values], wide)
+            self._probe = (top * width, luma, self._laplacian_buffer[:values], wide)
         self._shape = (height, width)
 
-    def _sums(
-        self, pixels: np.ndarray, luma: np.ndarray, lap: np.ndarray, wide: np.ndarray, width: int
-    ) -> tuple[int, int]:
-        """``S1`` and ``S2`` of the Laplacian of RGB rows ``pixels``, via the given buffers.
+    def _laplacian(self, pixels: np.ndarray, luma: np.ndarray, lap: np.ndarray, width: int) -> None:
+        """Fill ``luma`` with the luma of RGB rows ``pixels`` and ``lap`` with its Laplacian.
 
-        ``luma`` holds one value per pixel and ``lap`` two rows fewer;
-        ``wide`` takes ``lap`` in runs.
+        ``luma`` holds one value per pixel and ``lap`` two rows fewer.
         """
         rgb = self._rgb
         band = len(rgb)
@@ -182,20 +221,48 @@ class LaplacianVarianceScorer:
         rows = lap.reshape(-1, width)
         rows[:, 0] = 0
         rows[:, -1] = 0
-        np.copyto(wide.reshape(-1)[:count], lap)
+
+    @staticmethod
+    def _exact_sums(lap: np.ndarray, wide: np.ndarray) -> tuple[int, int]:
+        """``S1`` and ``S2`` of ``lap``, exactly, via the float64 runs ``wide``."""
+        np.copyto(wide.reshape(-1)[: len(lap)], lap)
         s1 = sum(map(int, np.einsum("ij->i", wide).tolist()))
         s2 = sum(map(int, np.matmul(wide[:, None, :], wide[:, :, None]).ravel().tolist()))
         return s1, s2
 
+    def _frame_laplacian(self, frame: Frame) -> np.ndarray:
+        """The Laplacian of every row of ``frame``, in the float32 buffer; MediaFormatError below 3x3."""
+        if self._shape != (frame.height, frame.width):
+            self._resize(frame.height, frame.width)
+        pixels = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
+        self._laplacian(pixels, self._luma, self._laplacian_buffer, frame.width)
+        return self._laplacian_buffer
+
     def variance(self, frame: Frame) -> Fraction:
         """The frame's Laplacian variance, from every row; MediaFormatError below 3x3."""
-        height, width = frame.height, frame.width
-        if self._shape != (height, width):
-            self._resize(height, width)
-        pixels = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
-        s1, s2 = self._sums(pixels, self._luma, self._laplacian, self._wide, width)
-        n = (height - 2) * (width - 2)
+        s1, s2 = self._exact_sums(self._frame_laplacian(frame), self._wide)
+        n = (frame.height - 2) * (frame.width - 2)
         return Fraction(n * s2 - s1 * s1, n * n * 1_000_000)
+
+    def variance_below(self, frame: Frame, threshold: float) -> bool:
+        """``variance(frame) < threshold``, proved from a float32 sum of squares when it can be.
+
+        The float32 bound of the module docstring proves a low variance
+        without the float64 runs; any other frame is decided from its exact
+        sums. MediaFormatError below 3x3.
+        """
+        lap = self._frame_laplacian(frame)
+        n = (frame.height - 2) * (frame.width - 2)
+        margin = float32_dot_margin(len(lap))
+        if margin is not None and math.isfinite(threshold):
+            num, den = threshold.as_integer_ratio()
+            p, q = float(np.dot(lap, lap)).as_integer_ratio()
+            high, low = margin
+            # spread <= n S2 <= n (p / q) (high / low) < (num / den) n^2 10^6, with one n divided out.
+            if p * high * den < num * n * 1_000_000 * q * low:
+                return True
+        s1, s2 = self._exact_sums(lap, self._wide)
+        return Fraction(n * s2 - s1 * s1, n * n * 1_000_000) < threshold
 
     def centre_proves_clear(self, frame: Frame, threshold: float) -> bool:
         """True when ``_PROBE_ROWS`` centre rows alone prove the variance is at least ``threshold``.
@@ -217,7 +284,8 @@ class LaplacianVarianceScorer:
         start, luma, lap, wide = self._probe
         wide.reshape(-1)[len(lap) :] = 0  # the last run's padding, which a full pass fills
         pixels = np.frombuffer(frame.pixels, np.uint8, 3 * len(luma), 3 * start).reshape(-1, 3)
-        s1, s2 = self._sums(pixels, luma, lap, wide, width)
+        self._laplacian(pixels, luma, lap, width)
+        s1, s2 = self._exact_sums(lap, wide)
         # The strip's m values leave out its wrapped first and last columns, which are zero.
         n, m = (height - 2) * (width - 2), self._PROBE_ROWS * (width - 2)
         return (m * s2 - s1 * s1) * den >= num * n * n * 1_000_000
@@ -254,6 +322,28 @@ def frame_filename(frame_index: int) -> str:
     return f"{frame_index:06d}.ppm"
 
 
+# Bytes read ahead for a frame file's header; the canonical header of a
+# 4096x4096 frame takes 17.
+_HEAD_BYTES = 128
+
+
+def _read_raster(fd: int, width: int, height: int) -> bytes | None:
+    """The raster of the open PPM file ``fd``, read once into the bytes returned.
+
+    None unless the header lies within the file's first ``_HEAD_BYTES`` bytes
+    and declares ``width x height``, and the file holds the whole raster.
+    """
+    try:
+        header_width, header_height, offset = _ppm_header(os.pread(fd, _HEAD_BYTES, 0))
+    except MediaFormatError:
+        return None
+    expected = 3 * width * height
+    if (header_width, header_height) != (width, height) or os.fstat(fd).st_size < offset + expected:
+        return None
+    pixels = os.pread(fd, expected, offset)
+    return pixels if len(pixels) == expected else None
+
+
 class DirectoryFrameStream:
     """Reads a frame directory in strictly increasing frame order.
 
@@ -283,12 +373,23 @@ class DirectoryFrameStream:
 
     def read_frame(self, frame_index: int) -> Frame:
         path = self.directory / frame_filename(frame_index)
+        info = self.info
         try:
-            data = path.read_bytes()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                pixels = _read_raster(fd, info.width, info.height)
+            finally:
+                os.close(fd)
+            if pixels is None:
+                pixels = self._decode_file(path)
         except OSError as exc:
             raise MediaFormatError(f"cannot read frame file {path}: {exc}") from exc
+        return Frame(frame_index, frame_index * 1000.0 / info.fps, info.width, info.height, pixels)
+
+    def _decode_file(self, path: Path) -> bytes:
+        """The raster of any other frame file, faulty or not, by ``decode_ppm`` of the whole file."""
         try:
-            width, height, pixels = decode_ppm(data)
+            width, height, pixels = decode_ppm(path.read_bytes())
         except MediaFormatError as exc:
             raise MediaFormatError(f"{path}: {exc}") from exc
         if (width, height) != (self.info.width, self.info.height):
@@ -296,4 +397,4 @@ class DirectoryFrameStream:
                 f"{path}: raster is {width}x{height}, manifest declares "
                 f"{self.info.width}x{self.info.height}"
             )
-        return Frame(frame_index, frame_index * 1000.0 / self.info.fps, width, height, pixels)
+        return pixels

@@ -17,7 +17,7 @@ from scopeline import cli
 from scopeline.annotations import annotations_by_frame, load_annotations
 from scopeline.backends import external
 from scopeline.datagen import DatasetSpec, write_dataset
-from scopeline.media import MANIFEST_NAME, encode_ppm, frame_filename
+from scopeline.media import MANIFEST_NAME, DirectoryFrameStream, encode_ppm, frame_filename
 
 from conftest import NEVER_ANSWERS, NEVER_READS, child_pids
 
@@ -713,10 +713,53 @@ def test_run_takes_the_fps_from_the_frame_directory_only(tmp_path, dataset, caps
                                encoding="utf-8")
     assert run(tmp_path, dataset) == 0
     assert json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))["input"]["fps"] == 25.0
-    # A replay reads the frame directory again, not the fps its manifest recorded.
+    # A replay reads the frame directory again, and refuses one whose fps is not the one its manifest recorded.
     write_manifest(tmp_path / "out", set_at("input.fps", 30.0))
     replay = tmp_path / "replay"
-    assert cli.main(["run", "--config", str(tmp_path / "out" / "manifest.json"), "--output", str(replay)]) == 0
+    assert cli.main(["run", "--config", str(tmp_path / "out" / "manifest.json"), "--output", str(replay)]) == 3
+    assert "has fps 25.0, the run recorded 30.0" in capsys.readouterr().err
+    assert not replay.exists()
+
+
+# Edits to a frame directory's manifest after its run, and the first field a replay names.
+CHANGED_STREAMS = {
+    "video_id": {"video_id": "other"},
+    "fps": {"fps": 25},
+    "width": {"width": 385},
+    "height": {"height": 287},
+    "frame_count": {"frame_count": SPEC.frames_per_video - 1},
+    "video_id-and-fps": {"video_id": "other", "fps": 25},
+}
+
+
+@pytest.mark.parametrize("edit", list(CHANGED_STREAMS.values()), ids=list(CHANGED_STREAMS))
+def test_replay_of_a_changed_frame_directory_exits_3(tmp_path, dataset, capsys, edit):
+    assert run(tmp_path, dataset) == 0
+    video = dataset / "videos" / "video-000"
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))["input"]
+    stream_manifest = video / MANIFEST_NAME
+    stream_manifest.write_text(json.dumps({**json.loads(stream_manifest.read_text(encoding="utf-8")), **edit}),
+                               encoding="utf-8")
+    field = next(iter(edit))
+    changed = DirectoryFrameStream(video).info
+    replay = tmp_path / "replay"
+    manifest = tmp_path / "out" / "manifest.json"
+    assert cli.main(["run", "--config", str(manifest), "--output", str(replay)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {manifest}: the frame directory {recorded['path']} has {field} {getattr(changed, field)!r}, "
+        f"the run recorded {recorded[field]!r}\n"
+    )
+    assert not replay.exists()
+
+
+def test_replay_with_an_explicit_input_reads_that_stream(tmp_path, dataset):
+    assert run(tmp_path, dataset) == 0
+    stream_manifest = dataset / "videos" / "video-000" / MANIFEST_NAME
+    stream_manifest.write_text(json.dumps({**json.loads(stream_manifest.read_text(encoding="utf-8")), "fps": 25}),
+                               encoding="utf-8")
+    replay = tmp_path / "replay"
+    assert cli.main(["run", "--config", str(tmp_path / "out" / "manifest.json"),
+                     "--input", str(dataset / "videos" / "video-000"), "--output", str(replay)]) == 0
     assert json.loads((replay / "manifest.json").read_text(encoding="utf-8"))["input"]["fps"] == 25.0
 
 

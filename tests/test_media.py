@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from scopeline import media
 from scopeline.backends.base import HeuristicBlurGate
 from scopeline.codec import from_json, to_json
 from scopeline.datagen import DatasetSpec, plan_video, render_frame
@@ -22,6 +24,7 @@ from scopeline.media import (
     StreamInfo,
     decode_ppm,
     encode_ppm,
+    float32_dot_margin,
     heuristic_blur_gate,
 )
 
@@ -378,16 +381,23 @@ class TestEarlyExitGate:
         spec = DatasetSpec(frames_per_video=2, polyps_per_video=1, blur_fraction=0.5, seed=7)
         plans = plan_video(spec, 0)
         clear, blurry = (render_frame(next(p for p in plans if p.blurry is b), spec) for b in (False, True))
+        clear_variance = LaplacianVarianceScorer().variance(clear)
+        exact_sums = LaplacianVarianceScorer._exact_sums
 
-        def full_pass(scorer, frame):
-            raise AssertionError("full pass taken")
+        def probe_sums_only(lap, wide):
+            if len(lap) == (spec.height - 2) * spec.width:
+                raise AssertionError("full pass taken")
+            return exact_sums(lap, wide)
 
-        monkeypatch.setattr(LaplacianVarianceScorer, "variance", full_pass)
+        monkeypatch.setattr(LaplacianVarianceScorer, "_exact_sums", staticmethod(probe_sums_only))
         gate = HeuristicBlurGate()
         assert gate.is_blurry(clear) is False
-        # Not vacuous: a blurry frame does reach the patched full pass.
+        # The float32 screen proves the blurry frame without the exact sums too.
+        assert gate.is_blurry(blurry) is True
+        # Not vacuous: at the clear frame's own variance the gate does reach the patched full pass.
+        gate.threshold = float(clear_variance)
         with pytest.raises(AssertionError, match="full pass taken"):
-            gate.is_blurry(blurry)
+            gate.is_blurry(clear)
 
     @pytest.mark.parametrize(
         "threshold, blurry", [(math.inf, True), (-math.inf, False), (math.nan, False), (-1.0, False), (0.0, False)]
@@ -403,6 +413,60 @@ class TestEarlyExitGate:
                 gate.is_blurry(frame)
                 gate.threshold = threshold
                 assert gate.is_blurry(frame) is blurry
+
+
+def bordered_texture_frame(rng: np.random.Generator, width: int, height: int) -> Frame:
+    """Random texture inside a flat 2-pixel border: every Laplacian sum ``S1`` telescopes to 0.
+
+    So the spread is exactly ``n S2``, the quantity the float32 screen bounds, and a screen
+    without its error margin calls a frame just above the threshold blurry when its dot rounds down.
+    """
+    raster = np.full((height, width, 3), 77, np.uint8)
+    raster[2:-2, 2:-2] = rng.integers(0, 256, (height - 4, width - 4, 3))
+    return Frame(0, 0.0, width, height, raster.tobytes())
+
+
+def screen_frames() -> list[Frame]:
+    rng = np.random.default_rng(27)
+    frames = [bordered_texture_frame(rng, w, h) for w, h in ((384, 288), (384, 288), (200, 150), (97, 61), (33, 21))]
+    return frames + [random_frame(rng, w, h) for w, h in ((384, 288), (64, 48), (12, 9))]
+
+
+class TestFloat32Screen:
+    """The gate's float32 proof of a blurry frame, against the Fraction oracle."""
+
+    @pytest.mark.parametrize("frame", screen_frames(), ids=frame_id)
+    def test_verdict_equals_the_oracle_near_the_threshold(self, frame, monkeypatch):
+        exact = fraction_laplacian_variance(frame)
+        value = float(exact)
+        full = (frame.height - 2) * frame.width
+        exact_sums = LaplacianVarianceScorer._exact_sums
+        full_sums = []
+
+        def counted(lap, wide):
+            full_sums.append(len(lap) == full)
+            return exact_sums(lap, wide)
+
+        monkeypatch.setattr(LaplacianVarianceScorer, "_exact_sums", staticmethod(counted))
+        gate = HeuristicBlurGate()
+        near = (math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf), value * 0.995)
+        for threshold in (*near, value * 1.005, value * 1.05):
+            gate.threshold = threshold
+            full_sums.clear()
+            assert gate.is_blurry(frame) is (exact < threshold)
+            if threshold in near:
+                # No float32 bound separates a threshold this near: the exact sums decide.
+                assert full_sums[-1:] == [True]
+        # Not vacuous: 5% above its variance, a frame of these sizes is proved blurry without them.
+        assert True not in full_sums
+
+    def test_margin_at_the_largest_count_and_past_it(self):
+        d = 1 << 24
+        assert float32_dot_margin(0) == (d - 1, d - 2)
+        # 2g = D - 2: the last count with a margin; 2g = D: none.
+        assert float32_dot_margin(d // 2 - 2) == (d // 2 + 1, 2)
+        assert float32_dot_margin(d // 2 - 1) is None
+        assert float32_dot_margin(d) is None
 
 
 class TestFrameInvariants:
@@ -460,6 +524,82 @@ class TestDirectoryFrameStream:
         with pytest.raises(MediaFormatError, match="manifest declares"):
             DirectoryFrameStream(tmp_path).read_frame(0)
 
+
+# Every fault of ``TestPpmCodec``, as a frame file: (declared width, height, file bytes).
+PPM_FAULTS = {
+    "unsupported-maxval": (1, 1, b"P6\n1 1\n65535\n" + bytes(6)),
+    "bad-magic": (1, 1, b"P5\n1 1\n255\n\x00"),
+    "truncated-raster": (2, 2, b"P6\n2 2\n255\n" + bytes(5)),
+    "missing-header-token": (17, 1, b"P6\n17"),
+    "non-space-after-maxval": (1, 1, b"P6\n1 1\n255x" + bytes(3)),
+    "maxval-007": (1, 1, b"P6 1 1 007\n" + bytes(3)),
+    "zero-extent": (1, 1, b"P6\n0 1\n255\n"),
+    "empty-file": (1, 1, b""),
+    # A fault past the bytes read ahead for the header.
+    "maxval-after-a-long-comment": (1, 1, b"P6\n#" + b"c" * 300 + b"\n1 1\n65535\n" + bytes(6)),
+}
+
+
+class TestReadFrameFile:
+    """``read_frame``'s single read of a frame file against ``decode_ppm`` of the whole file."""
+
+    def _stream(self, tmp_path, width: int, height: int, data: bytes) -> tuple[DirectoryFrameStream, object]:
+        manifest = {"video_id": "vid", "fps": 60.0, "width": width, "height": height, "frame_count": 1}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        path = tmp_path / "000000.ppm"
+        path.write_bytes(data)
+        return DirectoryFrameStream(tmp_path), path
+
+    @pytest.mark.parametrize("fault", list(PPM_FAULTS), ids=list(PPM_FAULTS))
+    def test_a_faulty_file_raises_decode_ppms_message_after_its_path(self, tmp_path, fault):
+        width, height, data = PPM_FAULTS[fault]
+        with pytest.raises(MediaFormatError) as decoded:
+            decode_ppm(data)
+        stream, path = self._stream(tmp_path, width, height, data)
+        with pytest.raises(MediaFormatError) as read:
+            stream.read_frame(0)
+        assert str(read.value) == f"{path}: {decoded.value}"
+
+    def test_a_truncated_raster_keeps_its_offsets(self, tmp_path):
+        stream, path = self._stream(tmp_path, 4, 3, encode_ppm(4, 3, bytes(36))[:-7])
+        with pytest.raises(MediaFormatError) as read:
+            stream.read_frame(0)
+        assert str(read.value) == f"{path}: truncated raster: need 36 bytes from byte 11, file ends at byte 40"
+
+    def test_trailing_bytes_are_ignored_as_decode_ppm_ignores_them(self, tmp_path):
+        pixels = bytes(range(36))
+        stream, _ = self._stream(tmp_path, 4, 3, encode_ppm(4, 3, pixels) + b"trailing")
+        assert stream.read_frame(0).pixels == pixels
+
+    # The header's last byte, the whitespace after maxval, from just inside the bytes read
+    # ahead to just past them; a comment of 300 bytes runs far past them.
+    @pytest.mark.parametrize("end", [media._HEAD_BYTES + k for k in range(-3, 4)] + [310], ids=str)
+    def test_a_header_past_the_bytes_read_ahead_is_read_whole(self, tmp_path, end):
+        pixels = bytes(range(6))
+        tail = b"\n2 1\n255\n"
+        header = b"P6" + b"#" + b"c" * (end + 1 - len(tail) - 3) + tail
+        assert len(header) == end + 1
+        stream, _ = self._stream(tmp_path, 2, 1, header + pixels)
+        frame = stream.read_frame(0)
+        assert (frame.width, frame.height, frame.pixels) == (2, 1, pixels)
+
+    def test_digits_cut_by_the_bytes_read_ahead_are_read_whole(self, tmp_path):
+        # Width 12 with its "1" the last byte read ahead: a cut header must not read as width 1.
+        pixels = bytes(range(36))
+        header = b"P6" + b" " * (media._HEAD_BYTES - 3) + b"12 1\n255\n"
+        stream, _ = self._stream(tmp_path, 12, 1, header + pixels)
+        assert stream.read_frame(0).pixels == pixels
+        # The same file declared 1x1 is refused as today, by the whole file's size.
+        stream, path = self._stream(tmp_path, 1, 1, header + pixels)
+        with pytest.raises(MediaFormatError, match="raster is 12x1, manifest declares 1x1"):
+            stream.read_frame(0)
+
+    def test_a_directory_in_place_of_a_frame_file(self, tmp_path):
+        stream, path = self._stream(tmp_path, 1, 1, b"")
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(MediaFormatError, match=f"cannot read frame file {re.escape(str(path))}: "):
+            stream.read_frame(0)
 
 MANIFEST = {"video_id": "vid", "fps": 60.0, "width": 384, "height": 288, "frame_count": 600}
 
