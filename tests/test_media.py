@@ -601,6 +601,7 @@ class TestReadFrameFile:
         with pytest.raises(MediaFormatError, match=f"cannot read frame file {re.escape(str(path))}: "):
             stream.read_frame(0)
 
+
 MANIFEST = {"video_id": "vid", "fps": 60.0, "width": 384, "height": 288, "frame_count": 600}
 
 # A mistyped or out-of-range manifest field, and the error it must raise.
